@@ -143,6 +143,8 @@ def suggest_periods(
     by_period = {item.period: item for item in scores}
     kept: list[PeriodScore] = []
     for item in scores:
+        if len(kept) >= limit:
+            break
         if item.score <= 0.0:
             continue
         dominated = False
@@ -164,8 +166,6 @@ def suggest_periods(
                 break
         if not dominated:
             kept.append(item)
-        if len(kept) >= limit:
-            break
     if not kept:
         # Nothing beat its base rate; return the raw top scores instead of
         # hiding everything.

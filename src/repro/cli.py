@@ -37,36 +37,26 @@ from repro.synth.generator import SyntheticSpec
 from repro.timeseries.io import load_series, save_series
 
 
-def add_mining_args(
-    parser: argparse.ArgumentParser,
-    workers_help: str | None = None,
-) -> None:
+def _row_limit(text: str) -> int:
+    """``--limit``: how many rows to print, rejected when negative (a
+    negative value would slice away the last rows instead)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def add_mining_args(parser: argparse.ArgumentParser) -> None:
     """Install the mining-parameter options shared by ``mine`` and ``serve``.
 
-    Both subcommands drive the same engine, so their knobs must stay in
-    lockstep: confidence threshold, counting kernel, cache directory,
-    engine workers/backend, the legacy-encoding escape hatch, and lenient
-    loading.  ``workers_help`` overrides the ``--workers`` description
-    where the sharding context differs.
+    Both subcommands drive the same miner, so their knobs must stay in
+    lockstep: confidence threshold, counting kernel, cache directory, the
+    legacy-encoding escape hatch, and lenient loading.
     """
     parser.add_argument("--min-conf", type=float, default=0.5)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=workers_help
-        or (
-            "mine on the parallel engine with this many workers "
-            "(hitset only; >1 shards the series, results are identical "
-            "to the serial run)"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="parallel execution backend used when --workers > 1",
-    )
     parser.add_argument(
         "--no-encode",
         action="store_true",
@@ -144,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--maximal", action="store_true", help="print only maximal patterns"
     )
-    mine.add_argument("--limit", type=int, default=25)
+    mine.add_argument("--limit", type=_row_limit, default=25)
     mine.add_argument(
         "--json",
         metavar="PATH",
@@ -180,36 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the profile as JSON (implies --profile collection)",
     )
-    mine.add_argument(
-        "--resume",
-        metavar="JOURNAL",
-        help=(
-            "checkpoint journal path: completed shards are recorded there "
-            "and a rerun of the identical command skips them (the file is "
-            "created on first use; see docs/resilience.md)"
-        ),
-    )
-    mine.add_argument(
-        "--shard-timeout",
-        type=float,
-        metavar="SECONDS",
-        help="fail any shard that runs longer than this (then retry it)",
-    )
-    mine.add_argument(
-        "--max-retries",
-        type=int,
-        metavar="N",
-        help="extra attempts per failed shard (default 1)",
-    )
-    mine.add_argument(
-        "--deadline",
-        type=float,
-        metavar="SECONDS",
-        help=(
-            "wall-clock budget for the whole run; with --resume, a run cut "
-            "off by the deadline can be finished by rerunning"
-        ),
-    )
     serve = commands.add_parser(
         "serve",
         help="run the multi-tenant mining service",
@@ -219,13 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "quotas, and a shared count cache; see docs/serve.md"
         ),
     )
-    add_mining_args(
-        serve,
-        workers_help=(
-            "engine workers used for each query (>1 shards every mine "
-            "across the parallel engine)"
-        ),
-    )
+    add_mining_args(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port",
@@ -319,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     suggest.add_argument("--min-conf", type=float, default=0.5)
-    suggest.add_argument("--limit", type=int, default=5)
+    suggest.add_argument("--limit", type=_row_limit, default=5)
 
     rules = commands.add_parser(
         "rules", help="derive periodic association rules for one period"
@@ -328,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rules.add_argument("--period", type=int, required=True)
     rules.add_argument("--min-conf", type=float, default=0.5)
     rules.add_argument("--min-rule-conf", type=float, default=0.7)
-    rules.add_argument("--limit", type=int, default=15)
+    rules.add_argument("--limit", type=_row_limit, default=15)
     rules.add_argument(
         "--about", help="only rules whose consequent mentions this feature"
     )
@@ -581,28 +535,6 @@ def _print_result(result: MiningResult, limit: int, maximal: bool) -> None:
         print(f"  {str(pattern):<40} count={count:<8} conf={confidence:.3f}")
 
 
-def _resilience_from_args(args: argparse.Namespace):
-    """The ResilienceContext the mine flags describe, or ``None``."""
-    if (
-        args.shard_timeout is None
-        and args.deadline is None
-        and args.max_retries is None
-    ):
-        return None
-    from repro.resilience import Deadline, ResilienceContext, RetryPolicy
-
-    policy = RetryPolicy(
-        max_attempts=2 if args.max_retries is None else args.max_retries + 1
-    )
-    return ResilienceContext(
-        policy=policy,
-        shard_timeout_s=args.shard_timeout,
-        deadline=(
-            None if args.deadline is None else Deadline.start(args.deadline)
-        ),
-    )
-
-
 def _load_mine_series(args: argparse.Namespace):
     """Load the input series, quarantining bad lines under ``--lenient``."""
     if not args.lenient:
@@ -622,31 +554,9 @@ def _load_mine_series(args: argparse.Namespace):
     return series
 
 
-def _print_engine(engine) -> None:
-    """The engine summary plus any degradation events."""
-    print(f"  [{engine.summary()}]")
-    for event in engine.degradations:
-        print(f"  [degraded {event.describe()}]")
-
-
 def _run_mine(args: argparse.Namespace) -> int:
     if (args.period is None) == (args.period_range is None):
         print("specify exactly one of --period or --period-range", file=sys.stderr)
-        return 2
-    if args.workers > 1 and args.maximal:
-        print("--workers does not combine with --maximal", file=sys.stderr)
-        return 2
-    if args.maximal and (
-        args.resume
-        or args.shard_timeout is not None
-        or args.deadline is not None
-        or args.max_retries is not None
-    ):
-        print(
-            "--maximal runs serially; it does not combine with --resume, "
-            "--shard-timeout, --max-retries or --deadline",
-            file=sys.stderr,
-        )
         return 2
     if args.cache_dir and args.kernel == "legacy":
         print(
@@ -665,10 +575,10 @@ def _run_mine(args: argparse.Namespace) -> int:
         if args.period is None:
             print("--store-dir requires --period", file=sys.stderr)
             return 2
-        if args.workers > 1 or args.maximal or args.no_encode:
+        if args.maximal or args.no_encode:
             print(
-                "--store-dir applies to serial encoded columnar mining "
-                "(not --workers, --maximal or --no-encode)",
+                "--store-dir applies to encoded columnar mining "
+                "(not --maximal or --no-encode)",
                 file=sys.stderr,
             )
             return 2
@@ -690,23 +600,26 @@ def _run_mine(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    series = _load_mine_series(args)
-    miner = PartialPeriodicMiner(
-        series, min_conf=args.min_conf, algorithm=args.algorithm
-    )
-    started = time.perf_counter()
-    encode = not args.no_encode
-    resilience = _resilience_from_args(args)
-    cache = None
-    if args.cache_dir:
-        from repro.kernels.cache import CountCache
-
-        cache = CountCache(args.cache_dir)
     profile = None
     if wants_profile:
         from repro.kernels.profile import MiningProfile
 
         profile = MiningProfile()
+        with profile.stage("load"):
+            series = _load_mine_series(args)
+        profile.add_items("load", len(series))
+    else:
+        series = _load_mine_series(args)
+    miner = PartialPeriodicMiner(
+        series, min_conf=args.min_conf, algorithm=args.algorithm
+    )
+    started = time.perf_counter()
+    encode = not args.no_encode
+    cache = None
+    if args.cache_dir:
+        from repro.kernels.cache import CountCache
+
+        cache = CountCache(args.cache_dir)
     store = None
     if args.store_dir is not None:
         from repro.kernels.store import StoreOptions
@@ -721,19 +634,13 @@ def _run_mine(args: argparse.Namespace) -> int:
         else:
             result = miner.mine(
                 args.period,
-                workers=args.workers,
-                backend=args.backend,
                 encode=encode,
                 kernel=args.kernel,
                 cache=cache,
                 profile=profile,
-                resilience=resilience,
-                journal_path=args.resume,
                 store=store,
             )
         _print_result(result, args.limit, args.maximal)
-        if result.engine is not None:
-            _print_engine(result.engine)
         if cache is not None:
             print(f"  [cache {cache.stats.summary()}]")
         if profile is not None and args.profile:
@@ -755,19 +662,8 @@ def _run_mine(args: argparse.Namespace) -> int:
             print("--json requires --period", file=sys.stderr)
             return 2
         low, high = args.period_range
-        outcome = miner.mine_range(
-            low,
-            high,
-            workers=args.workers,
-            backend=args.backend,
-            encode=encode,
-            kernel=args.kernel,
-            resilience=resilience,
-            journal_path=args.resume,
-        )
+        outcome = miner.mine_range(low, high, encode=encode, kernel=args.kernel)
         print(outcome.summary())
-        if outcome.engine is not None:
-            _print_engine(outcome.engine)
         for period, pattern, confidence in outcome.best_patterns(args.limit):
             print(
                 f"  period={period:<4} {str(pattern):<40} conf={confidence:.3f}"
@@ -787,8 +683,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         min_conf=args.min_conf,
         kernel=args.kernel,
         encode=not args.no_encode,
-        mine_workers=args.workers,
-        backend=args.backend,
         concurrency=args.concurrency,
         max_pending=args.max_pending,
         request_timeout_s=(
@@ -1048,7 +942,7 @@ def _run_stream_durable(args: argparse.Namespace) -> int:
 
     from repro.core.errors import DurabilityError, StreamError
     from repro.durability import DurableStream
-    from repro.resilience.chaos import file_chaos_from_env
+    from repro.durability.chaos import file_chaos_from_env
     from repro.streaming import window_to_dict
 
     directory = Path(args.checkpoint_dir)

@@ -359,6 +359,8 @@ class SegmentPartial:
         ``"batched"`` share the superset-sum pass; the window counters
         themselves are scan-free either way).
         """
+        if max_letters is not None and max_letters < 1:
+            raise MiningError(f"max_letters must be >= 1, got {max_letters}")
         f1, threshold = self.frequent_one(min_conf)
         stats = MiningStats()
         if not f1:

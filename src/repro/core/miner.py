@@ -26,14 +26,11 @@ from repro.core.result import MiningResult
 from repro.timeseries.feature_series import FeatureSeries, as_feature_series
 
 if TYPE_CHECKING:
-    from pathlib import Path
-
     from repro.analysis.periodogram import PeriodScore
     from repro.core.constraints import MiningConstraints
     from repro.kernels.cache import CountCache
     from repro.kernels.profile import MiningProfile
     from repro.kernels.store import StoreOptions
-    from repro.resilience.context import ResilienceContext
 
 #: The single-period algorithms selectable by name.
 ALGORITHMS = ("hitset", "apriori")
@@ -84,21 +81,14 @@ class PartialPeriodicMiner:
         period: int,
         min_conf: float | None = None,
         algorithm: str | None = None,
-        workers: int | None = None,
-        backend: str = "auto",
         encode: bool = True,
         kernel: str = "batched",
         cache: CountCache | None = None,
         profile: MiningProfile | None = None,
-        resilience: ResilienceContext | None = None,
-        journal_path: str | Path | None = None,
         store: StoreOptions | None = None,
     ) -> MiningResult:
         """All frequent patterns of one period.
 
-        ``workers > 1`` runs the hit-set algorithm over segment shards on
-        the parallel engine (:class:`repro.engine.ParallelMiner`); the
-        frequent set and counts are identical to the serial run.
         ``encode=False`` routes every path through the legacy letter-set
         kernels (the CLI's ``--no-encode`` escape hatch), and
         ``kernel="legacy"`` the per-candidate counting paths
@@ -109,45 +99,9 @@ class PartialPeriodicMiner:
         runs in bounded memory (``--store-dir``).  ``cache`` memoizes
         scan results across queries and ``profile`` collects per-stage
         timings — both hit-set only; the Apriori path ignores them.
-
-        ``resilience`` (a :class:`repro.resilience.ResilienceContext`) and
-        ``journal_path`` (checkpoint/resume) always route through the
-        engine, even single-worker runs — the resilience machinery lives
-        there.
         """
         min_conf = self.min_conf if min_conf is None else min_conf
         algorithm = self.algorithm if algorithm is None else algorithm
-        if workers is not None and workers < 1:
-            raise MiningError(f"workers must be >= 1, got {workers}")
-        engine_run = (workers is not None and workers > 1) or (
-            resilience is not None or journal_path is not None
-        )
-        if engine_run:
-            if algorithm != "hitset":
-                raise MiningError(
-                    "parallel mining supports the 'hitset' algorithm only"
-                )
-            if store is not None:
-                raise MiningError(
-                    "store spill options apply to serial columnar mining; "
-                    "the engine ships shard stores itself"
-                )
-            from repro.engine.parallel import ParallelMiner
-
-            return ParallelMiner(
-                self.series,
-                min_conf=min_conf,
-                workers=workers if workers is not None else 1,
-                backend=backend,
-                encode=encode,
-                kernel=kernel,
-            ).mine(
-                period,
-                cache=cache,
-                profile=profile,
-                resilience=resilience,
-                journal_path=journal_path,
-            )
         if algorithm == "hitset":
             return mine_single_period_hitset(
                 self.series,
@@ -197,44 +151,15 @@ class PartialPeriodicMiner:
         min_conf: float | None = None,
         shared: bool = True,
         min_repetitions: int = 1,
-        workers: int | None = None,
-        backend: str = "auto",
         encode: bool = True,
         kernel: str = "batched",
-        resilience: ResilienceContext | None = None,
-        journal_path: str | Path | None = None,
     ) -> MultiPeriodResult:
         """All frequent patterns for every period in ``[low, high]``.
 
         ``shared=True`` uses Algorithm 3.4 (two scans total);
         ``shared=False`` loops Algorithm 3.2 per period (Algorithm 3.3).
-        ``workers > 1`` — or any resilience setting — fans the periods
-        out over the parallel engine (per-period tasks, looping semantics
-        — ``shared`` is ignored).
         """
         min_conf = self.min_conf if min_conf is None else min_conf
-        if workers is not None and workers < 1:
-            raise MiningError(f"workers must be >= 1, got {workers}")
-        engine_run = (workers is not None and workers > 1) or (
-            resilience is not None or journal_path is not None
-        )
-        if engine_run:
-            from repro.engine.parallel import ParallelMiner
-
-            return ParallelMiner(
-                self.series,
-                min_conf=min_conf,
-                workers=workers if workers is not None else 1,
-                backend=backend,
-                encode=encode,
-                kernel=kernel,
-            ).mine_period_range(
-                low,
-                high,
-                min_repetitions=min_repetitions,
-                resilience=resilience,
-                journal_path=journal_path,
-            )
         return mine_period_range(
             self.series,
             low,

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core.errors import MiningError
 from repro.core.pattern import Pattern
-
-if TYPE_CHECKING:
-    from repro.engine.stats import EngineStats
 
 
 @dataclass(slots=True)
@@ -47,11 +43,6 @@ class MiningResult:
 
     Behaves like a read-only mapping from :class:`Pattern` to frequency
     count, and offers confidence/maximality helpers.
-
-    ``engine`` carries the per-shard accounting
-    (:class:`repro.engine.stats.EngineStats`) when the result was produced
-    by the parallel engine; it is ``None`` for the serial miners and never
-    affects the frequent set itself.
     """
 
     __slots__ = (
@@ -61,7 +52,6 @@ class MiningResult:
         "num_periods",
         "_counts",
         "stats",
-        "engine",
     )
 
     def __init__(
@@ -72,7 +62,6 @@ class MiningResult:
         num_periods: int,
         counts: Mapping[Pattern, int],
         stats: MiningStats | None = None,
-        engine: EngineStats | None = None,
     ):
         self.algorithm = algorithm
         self.period = period
@@ -80,7 +69,6 @@ class MiningResult:
         self.num_periods = num_periods
         self._counts = dict(counts)
         self.stats = stats if stats is not None else MiningStats()
-        self.engine = engine
 
     # -- mapping protocol ------------------------------------------------
 

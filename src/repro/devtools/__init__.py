@@ -1,12 +1,11 @@
-"""repro.devtools — domain-aware static analysis for the mining engine.
+"""repro.devtools — domain-aware static analysis for the mining library.
 
-An AST-based linter whose rules encode the invariants the engine's
-correctness rests on but Python cannot enforce at runtime: shard tasks
-must pickle by reference (fork-safety, REP1xx), ``Pattern`` and tree nodes
-are immutable value objects outside their owning modules (REP2xx), library
-code draws no unseeded randomness (REP3xx), the public surface stays
-hygienic (REP4xx), and the encoded tree/engine hot paths stay on bitmask
-kernels (REP5xx).  See ``docs/devtools.md`` for the full catalog and the
+An AST-based linter whose rules encode the invariants the miners'
+correctness rests on but Python cannot enforce at runtime: ``Pattern``
+and tree nodes are immutable value objects outside their owning modules
+(REP2xx), library code draws no unseeded randomness (REP3xx), the public
+surface stays hygienic (REP4xx), and the encoded tree hot paths stay on
+bitmask kernels (REP5xx).  See ``docs/devtools.md`` for the full catalog and the
 suppression policy.
 
 Three entry points share one engine:

@@ -126,7 +126,7 @@ def analyze_source_detailed(
     """Lint one source string; the workhorse behind every entry point.
 
     ``module`` places the snippet at a dotted location so scoped rules
-    fire (e.g. ``module="repro.engine.worker"``); fixture tests rely on
+    fire (e.g. ``module="repro.tree.node"``); fixture tests rely on
     this.  ``meta_ids`` filters the analyzer's own findings so
     ``--select``/``--ignore`` apply to them like any catalog rule.
     """

@@ -409,7 +409,7 @@ class CallGraph:
                 )
             return
         expanded = info.imports.expand(dotted)
-        # functools.partial(f, ...) submits/wraps f: follow the reference.
+        # functools.partial(f, ...) wraps f: follow the reference.
         if expanded in ("functools.partial", "partial") and call.args:
             inner = self._resolve_callable(info, fn, call.args[0])
             if inner is not None and inner not in seen_edges:
@@ -456,27 +456,6 @@ class CallGraph:
             expanded = info.imports.expand(dotted)
             return self.resolve_dotted(expanded)
         return None
-
-    def resolve_reference(
-        self, fn: FunctionNode, expr: ast.expr
-    ) -> str | None:
-        """Resolve a callable *reference* (not necessarily a call site).
-
-        Used by project rules to follow task callables handed to
-        submission sinks; unwraps ``functools.partial(f, ...)`` to the
-        wrapped function.
-        """
-        info = self.modules.get(fn.module)
-        if info is None:
-            return None
-        if isinstance(expr, ast.Call):
-            dotted = dotted_name(expr.func)
-            if dotted is not None and expr.args:
-                expanded = info.imports.expand(dotted)
-                if expanded in ("functools.partial", "partial"):
-                    return self.resolve_reference(fn, expr.args[0])
-            return None
-        return self._resolve_callable(info, fn, expr)
 
     def _attr_type(self, class_fqname: str, attr: str) -> str | None:
         """The class of ``self.<attr>``, searching the base-class chain."""

@@ -5,7 +5,7 @@ one error-severity finding (or any finding under ``--strict``); 2 — usage
 error (unknown rule id, unreadable path, invalid baseline).
 
 ``--project`` switches from per-module to whole-program analysis
-(call graph + effect inference + REP111/REP311/REP811).  ``--baseline
+(call graph + effect inference + REP311/REP811/REP901/REP1001).  ``--baseline
 FILE`` turns on the ratchet: findings recorded in the committed baseline
 are reported as accepted and do not affect the exit code, so CI fails
 only on findings *new* relative to the baseline.  ``--write-baseline
@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.devtools",
         description=(
             "Domain-aware static analysis for the partial periodic "
-            "pattern mining engine (rule catalog: docs/devtools.md)"
+            "pattern mining library (rule catalog: docs/devtools.md)"
         ),
     )
     parser.add_argument(
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "whole-program analysis: build the call graph, infer "
             "transitive effects, and run the interprocedural rules "
-            "(REP111, REP311, REP811)"
+            "(REP311, REP811, REP901, REP1001)"
         ),
     )
     parser.add_argument(

@@ -1,7 +1,7 @@
 """Per-module analysis context handed to every rule.
 
 Bundles the parsed AST with the information rules keep needing: the dotted
-module name (so rules can scope themselves to ``repro.engine`` or exempt a
+module name (so rules can scope themselves to ``repro.tree`` or exempt a
 defining module), the raw source, and small AST utilities shared across the
 rule catalog.
 """
@@ -13,16 +13,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 #: Callables whose results are mutable collections.  Shared by the
-#: mutable-default rule (REP402), the worker-global-write rule (REP104),
-#: and the effect engine's mutates-global detection, so all three agree
-#: on what "mutable" means.
+#: mutable-default rule (REP402) and the effect engine's mutates-global
+#: detection, so both agree on what "mutable" means.
 MUTABLE_FACTORIES = frozenset(
     {"list", "dict", "set", "bytearray", "Counter", "OrderedDict",
      "defaultdict", "deque"}
 )
 
 #: Methods that mutate a collection in place (shared-state writes);
-#: shared by the fork-safety rules and the effect engine.
+#: shared by the immutability rules and the effect engine.
 MUTATING_CALLS = frozenset(
     {
         "add",
@@ -82,7 +81,7 @@ class ModuleContext:
 
         ``module`` overrides the derived dotted name — fixture tests use it
         to place a snippet "inside" a scoped package such as
-        ``repro.engine``.
+        ``repro.tree``.
         """
         tree = ast.parse(source, filename=path)
         if module is None:

@@ -2,8 +2,8 @@
 
 Per-module linting (:func:`~repro.devtools.analyzer.analyze_paths`) sees
 one file at a time, so any invariant that lives on a *call chain* — "no
-coroutine under ``repro.serve`` ever reaches blocking I/O", "no submitted
-shard task ever forks" — is invisible to it the moment the offending call
+coroutine under ``repro.serve`` ever reaches blocking I/O", "no counting
+path ever draws unseeded randomness" — is invisible to it the moment the offending call
 moves one helper away.  Project mode closes that gap:
 
 1. every file is parsed **once** into a :class:`ModuleContext`, and the
@@ -14,7 +14,7 @@ moves one helper away.  Project mode closes that gap:
    with its transitive effect set (honouring trusted
    ``# repro: effect[...] -- reason`` boundary annotations);
 4. the whole-program rules (:class:`~repro.devtools.registry.ProjectRule`
-   subclasses — REP111, REP311, REP811) run over the resulting
+   subclasses — REP311, REP811, REP901, REP1001) run over the resulting
    :class:`ProjectContext`;
 5. the analyzer's project-only meta findings are added: ``REP003`` for a
    suppression comment that hid nothing in the whole run, ``REP004`` for

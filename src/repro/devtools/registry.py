@@ -25,11 +25,11 @@ class Rule(ABC):
 
     Subclasses define the class attributes and implement :meth:`check`,
     yielding a :class:`~repro.devtools.findings.Finding` per violation.
-    ``rationale`` states which engine/paper invariant the rule guards; it
+    ``rationale`` states which library/paper invariant the rule guards; it
     is surfaced by ``--list-rules`` and in ``docs/devtools.md``.
     """
 
-    #: Stable id used in reports and suppression comments (e.g. "REP101").
+    #: Stable id used in reports and suppression comments (e.g. "REP402").
     id: str = ""
     #: Short kebab-case name (e.g. "lambda-task").
     name: str = ""

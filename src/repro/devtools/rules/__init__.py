@@ -4,13 +4,12 @@ Importing this package registers every rule with
 :mod:`repro.devtools.registry`.  Rules are grouped by the invariant family
 they guard:
 
-* :mod:`.fork_safety` — REP1xx, the engine's pickling/shared-state contract;
 * :mod:`.immutability` — REP2xx, ``Pattern`` and tree-node value semantics;
 * :mod:`.determinism` — REP3xx, seeded randomness outside ``synth``;
 * :mod:`.hygiene` — REP4xx, public-API and hot-path hygiene;
 * :mod:`.encoding` — REP5xx, the bitmask-kernel contract of the encoded
-  tree/engine hot paths;
-* :mod:`.resilience` — REP6xx, budgeted sleeping and bounded retries;
+  tree hot paths;
+* :mod:`.resilience` — REP6xx, stray sleeps and unbounded retry loops;
 * :mod:`.kernels` — REP7xx, batched counting (no per-candidate probe
   loops outside the legacy oracle);
 * :mod:`.serve` — REP8xx, the serving tier's event-loop contract (no
@@ -29,7 +28,6 @@ from repro.devtools.rules import (  # noqa: F401  (imports register rules)
     determinism,
     durability,
     encoding,
-    fork_safety,
     hygiene,
     immutability,
     kernels,
@@ -43,7 +41,6 @@ __all__ = [
     "determinism",
     "durability",
     "encoding",
-    "fork_safety",
     "hygiene",
     "immutability",
     "kernels",

@@ -10,8 +10,8 @@ half-file behind any kill that lands mid-write, and the corruption only
 surfaces at the next recovery, far from the bug.
 
 REP1001 makes the routing mechanical: inside the packages that own
-durable state (``repro.durability``, ``repro.resilience``,
-``repro.serve``, ``repro.streaming``), opening a file in a truncating
+durable state (``repro.durability``, ``repro.serve``,
+``repro.streaming``), opening a file in a truncating
 write mode or calling ``write_text``/``write_bytes`` is a finding.
 Append-mode opens are exempt — the journal/WAL idiom is append-only by
 design, and a torn trailing line is exactly what the recovery paths are
@@ -36,7 +36,6 @@ if TYPE_CHECKING:
 #: Packages whose files hold durable state.
 DURABLE_PACKAGES = (
     "repro.durability",
-    "repro.resilience",
     "repro.serve",
     "repro.streaming",
 )

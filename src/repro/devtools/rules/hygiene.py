@@ -3,7 +3,7 @@
 Hygiene here is not style: each rule guards a way the package's public
 surface or hot paths can silently rot — ``__all__`` drifting from what a
 module actually exports, mutable defaults aliasing state across calls,
-exception handlers swallowing the engine's typed error contract, and
+exception handlers swallowing the package's typed error contract, and
 hot-path value classes paying dict-per-instance costs the tree benchmarks
 assume away.
 """
@@ -189,7 +189,7 @@ class MutableDefaultRule(Rule):
     severity = Severity.ERROR
     rationale = (
         "A mutable default is evaluated once and shared by every call — "
-        "in a package whose miners are re-entered per shard, that is "
+        "in a package whose miners are re-entered per query, that is "
         "cross-call (and cross-test) state leakage.  Default to None and "
         "construct inside the function."
     )
@@ -236,8 +236,8 @@ class BareExceptRule(Rule):
     severity = Severity.ERROR
     rationale = (
         "bare except catches SystemExit/KeyboardInterrupt and hides "
-        "worker-pool crashes the engine's degradation path is designed to "
-        "surface; catch the narrowest type, or Exception with an explicit "
+        "worker-thread crashes the service is designed to surface; "
+        "catch the narrowest type, or Exception with an explicit "
         "suppression and reason."
     )
 
@@ -264,7 +264,7 @@ class OverbroadExceptRule(Rule):
         "The package's error contract is typed (ReproError and "
         "subclasses); except Exception swallows genuine bugs such as a "
         "non-associative merge raising TypeError.  Where broad capture IS "
-        "the contract (per-shard capture-and-retry in the executor), the "
+        "the contract (the serve connection loop's last-resort 500), the "
         "site must say so via a suppression with a reason."
     )
 

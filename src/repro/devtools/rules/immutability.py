@@ -1,9 +1,9 @@
 """Pattern/tree immutability rules (REP2xx).
 
-The max-subpattern tree's count-union merge is exact only because
-``Pattern`` behaves as an immutable letter set (paper Sections 3.2 and 4):
-hashes are cached at construction, letter sets are shared freely between
-shards, trees index nodes by frozen missing-letter sets.  One in-place
+The max-subpattern tree's counts are exact only because ``Pattern``
+behaves as an immutable letter set (paper Sections 3.2 and 4): hashes are
+cached at construction, letter sets are shared freely between results and
+caches, trees index nodes by frozen missing-letter sets.  One in-place
 mutation outside the owning modules silently corrupts every structure
 holding the object — no exception, just wrong counts.
 
@@ -20,10 +20,9 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.devtools.context import ModuleContext
+from repro.devtools.context import MUTATING_CALLS, ModuleContext
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import Rule, register
-from repro.devtools.rules.fork_safety import MUTATING_CALLS
 
 #: Protected internals: attribute name -> modules allowed to write it.
 PROTECTED_ATTRS: dict[str, frozenset[str]] = {

@@ -1,14 +1,12 @@
-"""Resilience rules (REP6xx): budgeted sleeping and bounded retries.
+"""Resilience rules (REP6xx): no blocking sleeps, no unbounded retries.
 
-The resilience layer's deadline accounting only works if every pause in
-the package is visible to it.  ``repro.resilience.backoff`` is the one
-sanctioned sleeping module — its :func:`~repro.resilience.backoff.sleep`
-clamps, guards, and centralizes every blocking pause — so a stray
-``time.sleep`` anywhere else is latency the deadline cannot see (REP601).
-Similarly, a ``while True`` loop that swallows exceptions and never exits
-is an unbounded retry: under a persistent fault it spins forever where
-the engine's :class:`~repro.resilience.policy.RetryPolicy` would have
-given up after its attempt budget (REP602).
+Library code never needs to pause: a blocking ``time.sleep`` in the
+package is latency no caller can see or cancel — it stalls a serve
+worker thread past the request deadline (:mod:`repro.serve.deadline`
+cannot preempt it) or a stream feed mid-window (REP601).  Similarly, a
+``while True`` loop that swallows exceptions and never exits is an
+unbounded retry: under a persistent fault it spins forever instead of
+failing loudly after a bounded number of attempts (REP602).
 """
 
 from __future__ import annotations
@@ -19,10 +17,6 @@ from collections.abc import Iterator
 from repro.devtools.context import ModuleContext, dotted_name
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.registry import Rule, register
-
-#: The only module allowed to call ``time.sleep``.
-SANCTIONED_SLEEP_MODULE = "repro.resilience.backoff"
-
 
 class _TimeImports:
     """Aliases under which stdlib ``time`` (and its ``sleep``) are bound."""
@@ -43,23 +37,21 @@ class _TimeImports:
 
 @register
 class StraySleepRule(Rule):
-    """REP601: ``time.sleep`` outside ``repro.resilience.backoff``."""
+    """REP601: a blocking ``time.sleep`` in package code."""
 
     id = "REP601"
     name = "stray-sleep"
     severity = Severity.ERROR
     rationale = (
-        "Deadlines can only budget pauses they can see; every blocking "
-        "sleep in the package must route through "
-        "repro.resilience.backoff.sleep, which guards non-positive "
-        "durations and keeps the pause auditable.  A raw time.sleep "
-        "elsewhere is invisible latency under a wall-clock budget."
+        "A blocking sleep in library code is latency no caller can see "
+        "or cancel: it holds a serve worker thread past the request "
+        "deadline and stalls a stream feed mid-window.  Wait on the "
+        "event that ends the pause (a condition, a queue, or "
+        "asyncio.sleep inside a coroutine) instead."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if not ctx.in_package("repro"):
-            return
-        if ctx.module == SANCTIONED_SLEEP_MODULE:
             return
         imports = _TimeImports(ctx.tree)
         for node in ast.walk(ctx.tree):
@@ -79,9 +71,8 @@ class StraySleepRule(Rule):
                     ctx,
                     node.lineno,
                     node.col_offset,
-                    f"raw {path}() outside {SANCTIONED_SLEEP_MODULE}; "
-                    "deadlines cannot account for it — use "
-                    "repro.resilience.backoff.sleep",
+                    f"blocking {path}() in package code; no deadline can "
+                    "preempt it — wait on the event that ends the pause",
                 )
 
 
@@ -132,9 +123,9 @@ class UnboundedRetryLoopRule(Rule):
     rationale = (
         "A while-True loop that catches exceptions without ever breaking, "
         "returning, or re-raising retries forever: under a persistent "
-        "fault it spins where RetryPolicy would have exhausted its "
-        "attempt budget and failed loudly.  Bound the loop on "
-        "policy.exhausted(attempts) or re-raise from the handler."
+        "fault it spins forever instead of failing loudly after a "
+        "bounded number of attempts.  Bound the loop on an attempt "
+        "counter or re-raise from the handler."
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -154,6 +145,6 @@ class UnboundedRetryLoopRule(Rule):
                     node.lineno,
                     node.col_offset,
                     "unbounded while-True retry loop: exceptions are "
-                    "swallowed and nothing exits the loop; bound it with a "
-                    "RetryPolicy attempt budget",
+                    "swallowed and nothing exits the loop; bound it with an "
+                    "attempt counter",
                 )

@@ -6,7 +6,7 @@ give a reason after ``--`` — a suppression without one is itself reported
 (:data:`MISSING_REASON_ID`), so intentional exceptions stay documented at
 the site where they live.
 
-Several rules may share one comment: ``# repro: ignore[REP103,REP404] --
+Several rules may share one comment: ``# repro: ignore[REP301,REP404] --
 reason``.  Rule ids that do not exist in the registry are reported as
 :data:`UNKNOWN_RULE_ID` findings rather than silently tolerated, so typos
 cannot disable nothing while looking like they disabled something.

@@ -22,7 +22,7 @@ files (bad header) all raise :class:`~repro.core.errors.SnapshotCorruption`,
 which recovery treats as "fall back to the previous snapshot", never as
 silently-wrong state.
 
-Fault injection: a :class:`~repro.resilience.chaos.FileChaos` cursor passed
+Fault injection: a :class:`~repro.durability.chaos.FileChaos` cursor passed
 to :class:`SnapshotWriter` deterministically injects torn writes, footer
 truncation, and stale-tmp crashes — the failure modes the recovery ladder
 must absorb, exercised by the durability chaos suite.
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.errors import DurabilityError, SnapshotCorruption
 
 if TYPE_CHECKING:
-    from repro.resilience.chaos import FileChaos
+    from repro.durability.chaos import FileChaos
 
 #: Format tag written into every snapshot header.
 FORMAT_TAG = "repro.snapshot/1"
@@ -84,7 +84,7 @@ class SnapshotWriter:
     directory:
         Target directory; created if missing.
     chaos:
-        Optional :class:`~repro.resilience.chaos.FileChaos` fault cursor.
+        Optional :class:`~repro.durability.chaos.FileChaos` fault cursor.
         When a scheduled fault fires, the write is deliberately damaged
         (torn bytes, missing footer, or an un-renamed tmp file) instead
         of completed — the recovery ladder's test harness.

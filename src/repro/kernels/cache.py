@@ -52,7 +52,6 @@ from pathlib import Path
 from repro.core.errors import MiningError
 from repro.core.pattern import Letter
 from repro.encoding.vocabulary import LetterVocabulary, remap_mask
-from repro.resilience.journal import series_fingerprint
 from repro.timeseries.feature_series import FeatureSeries
 
 #: Format tag written into every persisted cache entry.
@@ -184,7 +183,7 @@ class CountCache:
                 f"cannot fingerprint a {type(series).__name__}; "
                 "pass a FeatureSeries"
             )
-        return CacheKey(series_fingerprint(series), period)
+        return CacheKey(series.content_digest(), period)
 
     # ------------------------------------------------------------------
     # Letter counts (scan-1 state)

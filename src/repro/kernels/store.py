@@ -7,8 +7,7 @@ vocabulary.  :class:`SegmentStore` materializes that once into a contiguous
 overflows 64 bits), so that
 
 * the buffer pickles as one compact bytes blob instead of per-segment
-  objects — shard payloads and cross-process hand-off ship the raw array,
-  and mmap-backed stores ship only their file path (the worker re-maps);
+  objects;
 * repeated counting passes (hit collection, candidate verification, letter
   counting) run as vectorized numpy kernels over the buffer viewed as a
   ``uint64`` column (:mod:`repro.kernels.columnar`) — zero-copy via
@@ -120,16 +119,6 @@ def _restore_wide(
     """Unpickle helper: rebuild a wide (>64-letter) store."""
     vocab = LetterVocabulary(letters, period=period)
     return SegmentStore(vocab, period, list(masks), _prebuilt=True)
-
-
-def _restore_mapped(path: str) -> "SegmentStore":
-    """Unpickle helper: re-map an on-disk store instead of copying bytes.
-
-    This is how engine shard payloads ship an out-of-core store across
-    process boundaries — the pickle carries only the path; the worker
-    maps the same file read-only.
-    """
-    return SegmentStore.from_file(path)
 
 
 class SegmentStore:
@@ -483,11 +472,6 @@ class SegmentStore:
 
     def __reduce__(self):  # type: ignore[override]
         if isinstance(self._masks, np.ndarray):
-            if self._path is not None:
-                # Ship the path, not the bytes: the worker re-maps the
-                # same file instead of copying an out-of-core buffer
-                # through the pickle stream.
-                return (_restore_mapped, (str(self._path),))
             return (
                 _restore_packed,
                 (

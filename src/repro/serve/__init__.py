@@ -15,6 +15,7 @@ Layers (each its own module, composable without the others):
 * :mod:`.registry` — the named pool of loaded series;
 * :mod:`.quotas` — per-tenant token buckets and cache-share ledgers;
 * :mod:`.coalesce` — single-flight keying of in-flight queries;
+* :mod:`.deadline` — per-request wall-clock budgets (504 on overrun);
 * :mod:`.app` — routes, admission control, the mining pipeline;
 * :mod:`.server` — sockets, keep-alive, graceful shutdown.
 

@@ -1,19 +1,15 @@
-"""Wall-clock budgets for mining runs.
+"""Per-request wall-clock budgets for the mining service.
 
-A :class:`Deadline` is a monotonic-clock budget shared by every phase of
-one run: the engine checks it between retry rounds and uses
-:meth:`Deadline.remaining` to cap how long it waits on any single worker
-future, so a hung shard surfaces as a :class:`~repro.core.errors.ShardTimeout`
-instead of blocking the pool forever.  Cancellation is cooperative — a
-worker that is already computing cannot be preempted, but no *new* wait
-or retry starts once the budget is spent.
+A :class:`Deadline` is a monotonic-clock budget anchored when a request is
+admitted (``ppm serve --request-timeout``).  It caps the whole journey —
+queueing for a worker thread included — and surfaces exhaustion as
+:class:`~repro.core.errors.DeadlineExceeded`, which the application turns
+into a 504.  Cancellation is cooperative: a mine already running on a
+worker thread cannot be preempted, but nobody waits on it past the budget.
 
-The same object serves async callers (:mod:`repro.serve` hands every
-request its own deadline): :meth:`Deadline.check` is the cheap
-raise-if-expired probe for use between awaits, and :meth:`Deadline.bound`
-caps any awaitable at the remaining budget, surfacing exhaustion as
-:class:`~repro.core.errors.ShardTimeout` exactly like the engine's
-synchronous waits do.
+:meth:`Deadline.check` is the cheap raise-if-expired probe for use between
+awaits, and :meth:`Deadline.bound` caps any awaitable at the remaining
+budget.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Awaitable, TypeVar
 
-from repro.core.errors import ResilienceError, ShardTimeout
+from repro.core.errors import DeadlineExceeded, ServeError
 
 T = TypeVar("T")
 
@@ -47,7 +43,7 @@ class Deadline:
     def start(cls, budget_s: float) -> "Deadline":
         """A deadline expiring ``budget_s`` seconds from now."""
         if budget_s <= 0:
-            raise ResilienceError(f"deadline budget must be > 0, got {budget_s}")
+            raise ServeError(f"deadline budget must be > 0, got {budget_s}")
         return cls(budget_s=budget_s, started=time.monotonic())
 
     def elapsed(self) -> float:
@@ -63,28 +59,29 @@ class Deadline:
         """True once the budget is fully spent."""
         return self.remaining() <= 0.0
 
+    def _exceeded(self, label: str) -> DeadlineExceeded:
+        return DeadlineExceeded(
+            f"{label} exceeded its deadline (budget {self.budget_s:.3f}s spent)"
+        )
+
     def check(self, label: str = "operation") -> None:
-        """Raise :class:`ShardTimeout` if the budget is already spent.
+        """Raise :class:`DeadlineExceeded` if the budget is already spent.
 
         The polling form for cooperative async code: call it between
         awaits so a long handler stops promptly once its request deadline
         passes instead of finishing work nobody is waiting for.
         """
         if self.expired:
-            raise ShardTimeout(
-                f"{label} exceeded its deadline "
-                f"(budget {self.budget_s:.3f}s spent)"
-            )
+            raise self._exceeded(label)
 
     async def bound(self, awaitable: Awaitable[T], label: str = "operation") -> T:
         """Await something, but only for the remaining budget.
 
         Wraps :func:`asyncio.wait_for` with :meth:`remaining` and converts
-        the cancellation into :class:`ShardTimeout`, so async callers get
-        the same exception surface as the engine's synchronous
-        future-waits.  An already-expired deadline raises without
-        scheduling the awaitable's first step (closing a bare coroutine
-        so it does not warn about never being awaited).
+        the cancellation into :class:`DeadlineExceeded`.  An
+        already-expired deadline raises without scheduling the awaitable's
+        first step (closing a bare coroutine so it does not warn about
+        never being awaited).
         """
         if self.expired:
             if asyncio.iscoroutine(awaitable):
@@ -93,10 +90,7 @@ class Deadline:
         try:
             return await asyncio.wait_for(awaitable, timeout=self.remaining())
         except asyncio.TimeoutError:
-            raise ShardTimeout(
-                f"{label} exceeded its deadline "
-                f"(budget {self.budget_s:.3f}s spent)"
-            ) from None
+            raise self._exceeded(label) from None
 
     def __repr__(self) -> str:
         return f"Deadline(budget_s={self.budget_s}, remaining={self.remaining():.3f})"

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.errors import ServeError
-from repro.resilience.journal import series_fingerprint
 from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.io import LoadReport, load_series
 
@@ -75,7 +74,7 @@ class SeriesRegistry:
         loaded = LoadedSeries(
             name=name,
             series=series,
-            fingerprint=series_fingerprint(series),
+            fingerprint=series.content_digest(),
             source=str(path),
             slots=len(series),
             quarantined=len(report.quarantined),
@@ -92,7 +91,7 @@ class SeriesRegistry:
         loaded = LoadedSeries(
             name=name,
             series=series,
-            fingerprint=series_fingerprint(series),
+            fingerprint=series.content_digest(),
             source=source,
             slots=len(series),
             quarantined=0,

@@ -111,9 +111,8 @@ class FeatureSeries:
         Callable[[tuple[frozenset[str], ...]], FeatureSeries],
         tuple[tuple[frozenset[str], ...]],
     ]:
-        # Cheap pickling for shipping shards to worker processes: restore
-        # through the normalized fast path instead of re-coercing every
-        # slot in __init__ (which is O(total features)).
+        # Cheap pickling: restore through the normalized fast path instead
+        # of re-coercing every slot in __init__ (which is O(total features)).
         return (FeatureSeries._from_normalized, (self._slots,))
 
     # ------------------------------------------------------------------
@@ -254,27 +253,6 @@ class FeatureSeries:
 
         self._check_period(period)
         return EncodedSeries.from_series(self, period, vocab=vocab)
-
-    def slice_segments(
-        self, period: int, start: int, stop: int
-    ) -> "FeatureSeries":
-        """The sub-series covering whole segments ``start..stop-1``.
-
-        The result contains exactly ``(stop - start) * period`` slots, so a
-        shard ships only its chunk to a worker — not the whole series.
-
-        >>> FeatureSeries.from_symbols("abdabcabd").slice_segments(3, 1, 3)
-        FeatureSeries(len=6, abcabd)
-        """
-        count = self.num_periods(period)
-        if not 0 <= start <= stop <= count:
-            raise SeriesError(
-                f"segment slice [{start}, {stop}) out of range (0..{count}) "
-                f"for period {period}"
-            )
-        return FeatureSeries._from_normalized(
-            self._slots[start * period : stop * period]
-        )
 
     def iter_slots(self) -> Iterator[frozenset[str]]:
         """Iterate raw slots in order — one full consumption is one scan.

@@ -96,7 +96,7 @@ class MaxSubpatternTree:
         #: Nodes with non-zero count, maintained on insert (O(1) reads).
         self._hit_set_size = 0
         #: Memoized ``(missing_mask, count)`` rows of non-zero nodes;
-        #: invalidated by any insert/merge (see :meth:`_insert_missing_mask`).
+        #: invalidated by any insert (see :meth:`_insert_missing_mask`).
         self._stored_rows: list[tuple[int, int]] | None = None
         #: Memoized :meth:`hit_counts` result, same invalidation.
         self._hit_memo: dict[frozenset[Letter], int] | None = None
@@ -223,8 +223,8 @@ class MaxSubpatternTree:
         """Bump the node of a missing-mask, creating its path if absent.
 
         The single mutation point of the tree (``insert``/``insert_mask``/
-        ``merge`` all land here), so it is also where the memoized hit
-        state invalidates.
+        ``insert_all_segments`` all land here), so it is also where the
+        memoized hit state invalidates.
         """
         node = self._index.get(missing_mask)
         if node is None:
@@ -376,51 +376,6 @@ class MaxSubpatternTree:
             stored += count
         return stored
 
-    # ------------------------------------------------------------------
-    # Merging — partial trees from disjoint segment shards
-    # ------------------------------------------------------------------
-
-    def merge(self, other: "MaxSubpatternTree") -> "MaxSubpatternTree":
-        """Union another tree's hit counts into this one (in place).
-
-        Both trees must have been built for the *same* ``C_max``.  Because a
-        node's count is the number of segments whose hit is exactly that
-        node's pattern, and segments are partitioned between the trees,
-        merging is plain addition of per-pattern counts — the operation is
-        commutative and associative, which is what makes sharded mining
-        (:mod:`repro.engine`) exact rather than approximate.  Equal
-        ``C_max`` also means equal vocabularies (both sort the same
-        letters), so the other tree's masks transfer without remapping.
-
-        Returns ``self`` so merges fold naturally::
-
-            functools.reduce(lambda a, b: a.merge(b), partial_trees)
-
-        Examples
-        --------
-        >>> cmax = Pattern.from_string("ab*d*")
-        >>> left, right = MaxSubpatternTree(cmax), MaxSubpatternTree(cmax)
-        >>> _ = left.insert(Pattern.from_string("ab***"))
-        >>> _ = right.insert(Pattern.from_string("ab*d*"))
-        >>> _ = right.insert(Pattern.from_string("ab***"))
-        >>> left.merge(right).count_of(Pattern.from_string("ab***"))
-        3
-        """
-        if other is self:
-            raise MiningError("cannot merge a tree into itself")
-        if (
-            other._letters != self._letters
-            or other._max_pattern.period != self._max_pattern.period
-        ):
-            raise MiningError(
-                f"cannot merge trees with different C_max: "
-                f"{self._max_pattern} vs {other._max_pattern}"
-            )
-        for node in other._index.values():
-            if node.count:
-                self._insert_missing_mask(node.missing_mask, node.count)
-        return self
-
     def _missing_rows(self) -> list[tuple[int, int]]:
         """Memoized ``(missing_mask, count)`` rows of the non-zero nodes.
 
@@ -455,10 +410,9 @@ class MaxSubpatternTree:
         """The stored hits as ``{pattern letters: exact-hit count}``.
 
         Only nodes with a non-zero count appear; this is the complete
-        mergeable state of the tree (rebuilding a tree from it and merging
-        is equivalent to merging the tree itself).  The decoded mapping is
-        memoized until the next insert/merge; callers get a fresh shallow
-        copy each time.
+        state of the tree (rebuilding a tree from it gives the same
+        counts).  The decoded mapping is memoized until the next insert;
+        callers get a fresh shallow copy each time.
         """
         memo = self._hit_memo
         if memo is None:
@@ -561,7 +515,7 @@ class MaxSubpatternTree:
         """Memoized superset-sum table over the full C_max universe.
 
         Built on first batched count/derivation and reused until the next
-        insert/merge (the same invalidation as the other memos), so
+        insert (the same invalidation as the other memos), so
         repeated derivations — threshold sweeps, re-queries — pay the table
         build once.  ``None`` when C_max is too wide for a dense table; the
         callers then fall back to the sparse projection kernel.

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.timeseries.feature_series import FeatureSeries
 from repro.timeseries.io import load_series, save_series
 from repro.synth.workloads import unexpected_period_series
 
@@ -99,6 +102,54 @@ class TestMine:
         code = main(["mine", str(tmp_path / "nope.txt"), "--period", "7"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_limit_zero_prints_summary_only(self, series_file, capsys):
+        code = main(["mine", str(series_file), "--period", "7", "--limit", "0"])
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "period 7:" in printed
+        assert "count=" not in printed
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mine", "{path}", "--period", "3"],
+            ["mine", "{path}", "--period-range", "2", "3"],
+            ["suggest", "{path}", "--period-range", "2", "3"],
+            ["rules", "{path}", "--period", "3"],
+        ],
+        ids=["mine", "mine-range", "suggest", "rules"],
+    )
+    def test_negative_limit_rejected(self, tmp_path, capsys, command):
+        # A negative limit must fail: slicing [:limit] with it would
+        # silently drop the last rows of the listing.
+        path = tmp_path / "tiny.txt"
+        save_series(FeatureSeries.from_symbols("abcabc"), path)
+        argv = [part.format(path=path) for part in command]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--limit", "-1"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --limit: must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
+    def test_profile_reports_load_stage(self, series_file, tmp_path, capsys):
+        profile_path = tmp_path / "profile.json"
+        code = main(
+            [
+                "mine", str(series_file), "--period", "7",
+                "--profile", "--profile-json", str(profile_path),
+            ]
+        )
+        assert code == 0
+        table = capsys.readouterr().out
+        load_rows = [line for line in table.splitlines() if line.startswith("load ")]
+        assert len(load_rows) == 1
+        assert load_rows[0].split()[2] == str(7 * 80)
+        payload = json.loads(profile_path.read_text())
+        assert list(payload["stages"])[0] == "load"
+        assert payload["stages"]["load"]["items"] == 7 * 80
+        assert payload["stages"]["load"]["calls"] == 1
 
 
 class TestSuggest:
@@ -233,57 +284,6 @@ class TestJsonOutput:
 
 
 class TestResilienceFlags:
-    def test_resume_roundtrip_reports_resumed_shards(
-        self, series_file, tmp_path, capsys
-    ):
-        journal = tmp_path / "mine.jsonl"
-        args = [
-            "mine", str(series_file),
-            "--period", "7", "--min-conf", "0.6",
-            "--workers", "2",
-            "--resume", str(journal),
-        ]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert journal.exists()
-        assert "resumed=" not in first
-
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert "resumed=" in second
-        # The mined patterns are identical either way.
-        patterns = lambda out: [  # noqa: E731
-            line
-            for line in out.splitlines()
-            if line.startswith("  ") and not line.startswith("  [")
-        ]
-        assert patterns(first) == patterns(second)
-
-    def test_retry_and_timeout_flags_accepted(self, series_file, capsys):
-        code = main(
-            [
-                "mine", str(series_file),
-                "--period", "7", "--min-conf", "0.6",
-                "--max-retries", "3", "--shard-timeout", "30",
-                "--deadline", "60",
-            ]
-        )
-        assert code == 0
-        assert "period 7:" in capsys.readouterr().out
-
-    def test_maximal_rejects_resilience_flags(
-        self, series_file, tmp_path, capsys
-    ):
-        code = main(
-            [
-                "mine", str(series_file),
-                "--period", "7", "--maximal",
-                "--resume", str(tmp_path / "j.jsonl"),
-            ]
-        )
-        assert code == 2
-        assert "maximal" in capsys.readouterr().err
-
     def test_lenient_flag_quarantines_and_warns(self, tmp_path, capsys):
         path = tmp_path / "series.txt"
         path.write_text("a b\n*\n" + "a b\nb\nc\n" * 40)

@@ -3,16 +3,15 @@
 Exactness is the whole contract: across seeds, periods, and thresholds
 the columnar tier must produce letter-identical results to the batched
 and legacy kernels and the brute-force oracle — in memory, spilled to
-disk, mmap-backed, through the streaming engine, through the parallel
-engine, and through the CLI.  The wide-vocabulary (>64 letters) fallback
-is pinned across every tier, and the store's on-disk round trip (atomic
-writes, sidecar metadata, pickle-by-path) is exercised directly.
+disk, mmap-backed, through the streaming engine, and through the CLI.
+The wide-vocabulary (>64 letters) fallback is pinned across every tier,
+and the store's on-disk round trip (atomic writes, sidecar metadata) is
+exercised directly.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import random
 from collections import Counter
 
@@ -24,7 +23,6 @@ from repro.core.errors import MiningError, StreamError
 from repro.core.hitset import mine_single_period_hitset, mine_store
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.kernels import KERNELS
-from repro.kernels.batched import batched_count_masks
 from repro.kernels import columnar
 from repro.kernels.cache import CountCache
 from repro.kernels.store import (
@@ -264,16 +262,6 @@ class TestOutOfCoreStore:
             assert list(other) == list(store)
             assert other.vocab.letters == store.vocab.letters
 
-    def test_mapped_store_pickles_by_path(self, tmp_path):
-        store = SegmentStore.from_series_interned(random_series(2), 3)
-        path = store.to_file(tmp_path / "p.seg")
-        mapped = SegmentStore.from_file(path)
-        clone = pickle.loads(pickle.dumps(mapped))
-        assert clone.mapped and clone.path == path
-        assert list(clone) == list(store)
-        # The pickle payload carries the path, not the buffer.
-        assert len(pickle.dumps(mapped)) < 600
-
     def test_spill_threshold(self, tmp_path):
         series = random_series(3, length=120)
         spilled = SegmentStore.from_series_interned(
@@ -369,17 +357,3 @@ class TestStreamingKernel:
     def test_unknown_kernel_rejected(self):
         with pytest.raises(StreamError, match="unknown kernel"):
             StreamingMiner(period=2, window=4, kernel="simd")
-
-
-class TestEngineColumnar:
-    """The parallel engine accepts and matches the columnar tier."""
-
-    def test_parallel_columnar_equivalence(self):
-        from repro.engine.parallel import ParallelMiner
-
-        series = random_series(9, length=90)
-        reference = mine_single_period_hitset(series, 3, 0.4, kernel="batched")
-        mined = ParallelMiner(
-            series, min_conf=0.4, kernel="columnar", backend="thread"
-        ).mine(3, workers=2)
-        assert result_map(mined) == result_map(reference)

@@ -311,109 +311,6 @@ class TestRep811:
 
 
 # ---------------------------------------------------------------------------
-# REP111 — submitted task transitively hazardous
-# ---------------------------------------------------------------------------
-
-
-class TestRep111:
-    def test_transitive_fork_two_calls_deep(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/jobs.py": """\
-                import subprocess
-
-                def shell():
-                    return subprocess.run(["true"])
-
-                def helper():
-                    return shell()
-
-                def task(item):
-                    return helper()
-
-                def go(pool, items):
-                    return pool.submit(task, items)
-            """,
-        })
-        assert project_ids(tmp_path, "REP111") == [("jobs.py", 13)]
-        [finding] = [
-            f for f in analyze_project([tmp_path]) if f.rule_id == "REP111"
-        ]
-        assert "forks" in finding.message
-        assert "repro.jobs:task" in finding.message
-        assert "subprocess.run()" in finding.message
-
-    def test_transitive_lock_acquisition(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/jobs.py": """\
-                import threading
-
-                _lock = threading.Lock()
-
-                def locked():
-                    with _lock:
-                        return 1
-
-                def task(item):
-                    return locked()
-
-                def go(backend, items):
-                    return run_shards(backend, task, items)
-            """,
-        })
-        [finding] = [
-            f for f in analyze_project([tmp_path]) if f.rule_id == "REP111"
-        ]
-        assert "acquires-lock" in finding.message
-
-    def test_partial_wrapped_task_resolves(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/jobs.py": """\
-                import functools
-                import subprocess
-
-                def helper():
-                    return subprocess.run(["true"])
-
-                def task(limit, item):
-                    return helper()
-
-                def go(pool, items):
-                    return pool.submit(functools.partial(task, 5), items)
-            """,
-        })
-        assert project_ids(tmp_path, "REP111") == [("jobs.py", 11)]
-
-    def test_clean_task_not_flagged(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/jobs.py": """\
-                def task(item):
-                    return item * 2
-
-                def go(pool, items):
-                    return pool.submit(task, items)
-            """,
-        })
-        assert project_ids(tmp_path, "REP111") == []
-
-    def test_trusted_annotation_passes_clean(self, tmp_path):
-        write_tree(tmp_path, {
-            "repro/jobs.py": """\
-                import subprocess
-
-                def helper():  # repro: effect[pure] -- fixture: verified boundary
-                    return subprocess.run(["true"])
-
-                def task(item):
-                    return helper()
-
-                def go(pool, items):
-                    return pool.submit(task, items)
-            """,
-        })
-        assert project_ids(tmp_path, "REP111") == []
-
-
-# ---------------------------------------------------------------------------
 # REP311 — counting/merge path transitively nondeterministic
 # ---------------------------------------------------------------------------
 
@@ -670,7 +567,7 @@ class TestProjectMeta:
                     return x
             """,
         })
-        findings = analyze_project([tmp_path], select=["REP101", "REP003"])
+        findings = analyze_project([tmp_path], select=["REP601", "REP003"])
         assert findings == []
 
     def test_suppressed_project_finding_marks_suppression_used(self, tmp_path):

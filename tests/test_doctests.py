@@ -26,10 +26,7 @@ MODULES = [
     "repro.encoding",
     "repro.encoding.codec",
     "repro.encoding.vocabulary",
-    "repro.engine",
-    "repro.engine.merge",
-    "repro.engine.parallel",
-    "repro.engine.partition",
+    "repro.serve.deadline",
     "repro.timeseries.calendar",
     "repro.timeseries.discretize",
     "repro.timeseries.events",

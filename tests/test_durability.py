@@ -28,7 +28,11 @@ from repro.durability import (
     read_snapshot,
     snapshot_bytes,
 )
-from repro.resilience.chaos import FileChaos, FileChaosConfig
+from repro.durability.chaos import (
+    FileChaos,
+    FileChaosConfig,
+    file_chaos_from_env,
+)
 from repro.streaming import ArrivalBuffer, StreamingMiner, window_to_dict
 
 ALPHABET = "abcde"
@@ -164,6 +168,22 @@ class TestFileChaos:
     def test_rates_must_fit(self):
         with pytest.raises(Exception):
             FileChaosConfig(seed=1, torn_rate=0.9, truncate_rate=0.3)
+
+    def test_chaos_from_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CHAOS_FILE_SEED", raising=False)
+        assert file_chaos_from_env() is None
+        monkeypatch.setenv("REPRO_CHAOS_FILE_SEED", "7")
+        monkeypatch.setenv("REPRO_CHAOS_FILE_RATES", "0.3,0.2,0.1")
+        chaos = file_chaos_from_env()
+        assert chaos.config == FileChaosConfig(
+            seed=7, torn_rate=0.3, truncate_rate=0.2, stale_tmp_rate=0.1
+        )
+        monkeypatch.setenv("REPRO_CHAOS_FILE_RATES", "0.3,oops")
+        with pytest.raises(DurabilityError, match="REPRO_CHAOS_FILE_RATES"):
+            file_chaos_from_env()
+        monkeypatch.setenv("REPRO_CHAOS_FILE_SEED", "seven")
+        with pytest.raises(DurabilityError, match="REPRO_CHAOS_FILE_SEED"):
+            file_chaos_from_env()
 
     def test_injected_faults_damage_snapshots(self, tmp_path):
         chaos = FileChaos(

@@ -4,7 +4,7 @@ The equivalence of whole mining runs across the encoded and legacy paths
 is asserted in ``tests/test_properties.py``; this module pins down the
 local contracts of the encoding layer itself: deterministic bit order,
 interning semantics, mask round-trips, cross-vocabulary remapping, and
-the ``Pattern``/tree/shard facades.
+the ``Pattern``/tree facades.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from repro.core.counting import count_pattern, segment_letters
+from repro.core.counting import count_pattern
 from repro.core.errors import EncodingError, PatternError
 from repro.core.pattern import Pattern
 from repro.encoding import (
@@ -24,7 +24,6 @@ from repro.encoding import (
     remap_mask,
     vocabulary_of_series,
 )
-from repro.engine.partition import encode_shard, partition_segments
 from repro.timeseries.feature_series import FeatureSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
@@ -205,25 +204,3 @@ class TestTreeMaskInterface:
         tree = self._tree()
         assert tree.vocab.letters == (A, B, C, D)
         assert tree.vocab.period == 3
-
-
-class TestEncodedShard:
-    def test_shard_masks_match_segment_encoding(self):
-        series = FeatureSeries.from_symbols("abdabcabdabc")
-        vocab = vocabulary_of_series(series, 3)
-        encoder = SegmentEncoder(vocab)
-        shards = partition_segments(series, 3, num_shards=2)
-        encoded = [encode_shard(shard, vocab) for shard in shards]
-        flattened = [mask for shard in encoded for mask in shard.masks]
-        assert flattened == [
-            encoder.encode_segment(segment) for segment in series.segments(3)
-        ]
-        assert [shard.start_segment for shard in encoded] == [0, 2]
-
-    def test_shard_letter_sets_survive_encoding(self):
-        series = FeatureSeries.from_symbols("abdabcabd")
-        vocab = vocabulary_of_series(series, 3)
-        (shard,) = partition_segments(series, 3, num_shards=1)
-        encoded = encode_shard(shard, vocab)
-        for mask, segment in zip(encoded.masks, series.segments(3)):
-            assert vocab.decode_mask(mask) == segment_letters(segment)

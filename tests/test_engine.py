@@ -1,35 +1,35 @@
-"""The parallel engine: partitioning, merging, executors, equivalence.
+"""Sharded mining through mergeable segment partials, and its fault tolerance.
 
-The load-bearing guarantee is at the bottom: for every seeded synthetic
-series, every worker count, and every chunking, ``ParallelMiner.mine`` is
-letter-for-letter identical to the serial two-scan miner.
+Hit-set counting is additive over whole segments (the paper's two scans
+need only per-letter counts and per-segment hits), so a series split into
+contiguous shards — each absorbed by its own
+:class:`~repro.core.incremental.IncrementalHitSetMiner` and merged — must
+mine letter-for-letter what the serial two-scan miner finds on the whole
+series.  That is the load-bearing guarantee of the streaming engine's ring
+strategy and of :meth:`IncrementalHitSetMiner.merge`, pinned here for
+every seeded series, every shard count and every chunking.
+
+The chaos suite at the bottom runs the same seeded series through a
+checkpointed :class:`~repro.durability.DurableStream` whose one window
+spans the whole series, kills it mid-feed with chaos-damaged snapshots,
+resumes, and checks the emitted window against the serial miner.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
+import random
 
 import pytest
 
 from repro.core.counting import brute_force_counts, min_count
-from repro.core.errors import EngineError, MiningError
+from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
-from repro.core.multiperiod import mine_periods_looping
+from repro.core.incremental import IncrementalHitSetMiner
+from repro.core.multiperiod import mine_period_range, mine_periods_looping
 from repro.core.pattern import Pattern
-from repro.engine.executor import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    resolve_backend,
-    run_shards,
-)
-from repro.resilience import ResilienceContext, RetryPolicy
-from repro.resilience.chaos import ChaosBackend, ChaosConfig, chaos_from_env
-from repro.engine.merge import hits_to_tree, merge_counters, merge_trees
-from repro.engine.parallel import ParallelMiner
-from repro.engine.partition import partition_segments, plan_chunks
-from repro.engine.worker import collect_shard_hits, count_shard_letters
+from repro.durability import DurableStream
+from repro.durability.chaos import FileChaos, FileChaosConfig
 from repro.synth.generator import generate_series
 from repro.timeseries.feature_series import FeatureSeries
 from repro.tree.max_subpattern_tree import MaxSubpatternTree
@@ -41,8 +41,6 @@ from repro.tree.max_subpattern_tree import MaxSubpatternTree
 
 def random_series(seed: int, length: int = 60) -> FeatureSeries:
     """A small random series with empty slots and multi-feature slots."""
-    import random
-
     rng = random.Random(seed)
     alphabet = ["a", "b", "c", "d"]
     slots = []
@@ -53,72 +51,72 @@ def random_series(seed: int, length: int = 60) -> FeatureSeries:
     return FeatureSeries(slots)
 
 
-def assert_same_result(parallel, serial):
-    """Letter-for-letter equality of the mining payloads."""
-    assert dict(parallel.items()) == dict(serial.items())
-    assert parallel.period == serial.period
-    assert parallel.num_periods == serial.num_periods
-    assert parallel.stats.scans == serial.stats.scans
-    assert parallel.stats.tree_nodes == serial.stats.tree_nodes
-    assert parallel.stats.hit_set_size == serial.stats.hit_set_size
+def segment_bounds(
+    num_segments: int, shards: int | None = None, chunk_size: int | None = None
+) -> list[tuple[int, int]]:
+    """Contiguous ``[start, stop)`` segment ranges covering the series.
 
-
-# ---------------------------------------------------------------------------
-# Partitioning
-# ---------------------------------------------------------------------------
-
-
-class TestPartition:
-    def test_plan_chunks_even_split(self):
-        assert plan_chunks(12, num_shards=4) == [
-            (0, 3),
-            (3, 6),
-            (6, 9),
-            (9, 12),
+    ``shards`` splits evenly (sizes differ by at most one); ``chunk_size``
+    cuts fixed-size chunks with a shorter last one.
+    """
+    if chunk_size is not None:
+        return [
+            (start, min(start + chunk_size, num_segments))
+            for start in range(0, num_segments, chunk_size)
         ]
+    assert shards is not None
+    base, extra = divmod(num_segments, shards)
+    bounds, start = [], 0
+    for index in range(shards):
+        stop = start + base + (1 if index < extra else 0)
+        if stop > start:
+            bounds.append((start, stop))
+        start = stop
+    return bounds
 
-    def test_plan_chunks_uneven_split_differs_by_at_most_one(self):
-        ranges = plan_chunks(11, num_shards=4)
-        sizes = [stop - start for start, stop in ranges]
-        assert sum(sizes) == 11
-        assert max(sizes) - min(sizes) <= 1
 
-    def test_plan_chunks_clips_to_segments(self):
-        assert plan_chunks(2, num_shards=10) == [(0, 1), (1, 2)]
+def sharded_miner(
+    series: FeatureSeries,
+    period: int,
+    min_conf: float,
+    shards: int | None = None,
+    chunk_size: int | None = None,
+) -> IncrementalHitSetMiner:
+    """One miner per shard of whole segments, merged left to right."""
+    bounds = segment_bounds(
+        series.num_periods(period), shards=shards, chunk_size=chunk_size
+    )
+    miners = []
+    for start, stop in bounds:
+        miner = IncrementalHitSetMiner(period, min_conf=min_conf)
+        miner.extend(series[start * period : stop * period])
+        miners.append(miner)
+    merged = miners[0]
+    for other in miners[1:]:
+        merged.merge(other)
+    return merged
 
-    def test_plan_chunks_chunk_size(self):
-        assert plan_chunks(7, chunk_size=3) == [(0, 3), (3, 6), (6, 7)]
 
-    def test_plan_chunks_rejects_both_knobs(self):
-        with pytest.raises(EngineError):
-            plan_chunks(5, num_shards=2, chunk_size=2)
+def assert_same_result(sharded, serial):
+    """Letter-for-letter equality of the mining payloads."""
+    assert dict(sharded.items()) == dict(serial.items())
+    assert sharded.period == serial.period
+    assert sharded.num_periods == serial.num_periods
+    assert sharded.stats.tree_nodes == serial.stats.tree_nodes
 
-    def test_shards_cover_series_in_order(self):
-        series = random_series(1, length=35)
-        shards = partition_segments(series, 5, num_shards=3)
-        assert [s.shard_id for s in shards] == [0, 1, 2]
-        rebuilt = []
-        for shard in shards:
-            rebuilt.extend(shard.series.slots)
-        m = series.num_periods(5)
-        assert tuple(rebuilt) == series.slots[: m * 5]
 
-    def test_shard_carries_only_its_chunk(self):
-        series = random_series(2, length=40)
-        shards = partition_segments(series, 4, chunk_size=3)
-        for shard in shards:
-            assert len(shard.series) == shard.num_segments * 4
-            assert shard.num_slots == shard.num_segments * 4
-
-    def test_too_short_series_rejected(self):
-        from repro.core.errors import ReproError
-
-        with pytest.raises(ReproError):
-            partition_segments(FeatureSeries.from_symbols("ab"), 3)
+def f1_of(series: FeatureSeries, period: int, min_conf: float) -> dict:
+    """Frequent 1-patterns from the brute-force oracle."""
+    threshold = min_count(min_conf, series.num_periods(period))
+    return {
+        next(iter(letters)): count
+        for letters, count in brute_force_counts(series, period).items()
+        if len(letters) == 1 and count >= threshold
+    }
 
 
 # ---------------------------------------------------------------------------
-# Pickling (shards must ship cheaply to worker processes)
+# Pickling and tree insertion (what a shard's state is built from)
 # ---------------------------------------------------------------------------
 
 
@@ -129,89 +127,8 @@ class TestPicklability:
         assert clone == series
         assert clone.slots == series.slots
 
-    def test_segment_shard_roundtrip(self):
-        shard = partition_segments(random_series(4, 30), 3, num_shards=2)[1]
-        clone = pickle.loads(pickle.dumps(shard))
-        assert clone.shard_id == shard.shard_id
-        assert clone.start_segment == shard.start_segment
-        assert clone.series == shard.series
-
-    def test_sliced_series_is_independent(self):
-        series = FeatureSeries.from_symbols("abdabcabd")
-        chunk = series.slice_segments(3, 1, 2)
-        assert chunk.slots == series.slots[3:6]
-        assert isinstance(chunk, FeatureSeries)
-
-
-# ---------------------------------------------------------------------------
-# Tree merge against the brute-force oracle
-# ---------------------------------------------------------------------------
-
 
 class TestTreeMerge:
-    def make_trees(self, series, period, min_conf):
-        """Whole-series tree plus per-half partial trees of the same C_max."""
-        serial = mine_single_period_hitset(series, period, min_conf)
-        m = series.num_periods(period)
-        threshold = min_count(min_conf, m)
-        letters = count_shard_letters(
-            partition_segments(series, period, num_shards=1)[0]
-        )
-        f1 = {k: v for k, v in letters.items() if v >= threshold}
-        if not f1:
-            pytest.skip("degenerate seed: empty F1")
-        cmax = Pattern.from_letters(period, f1)
-        whole = MaxSubpatternTree(cmax)
-        whole.insert_all_segments(series)
-        half = m // 2
-        parts = []
-        for start, stop in ((0, half), (half, m)):
-            part = MaxSubpatternTree(cmax)
-            part.insert_all_segments(series.slice_segments(period, start, stop))
-            parts.append(part)
-        return whole, parts, cmax, serial
-
-    def test_merge_equals_whole_series_tree(self):
-        series = random_series(11, length=48)
-        whole, (left, right), cmax, _ = self.make_trees(series, 4, 0.4)
-        merged = left.merge(right)
-        assert merged is left
-        assert merged.total_hits == whole.total_hits
-        assert merged.hit_counts() == whole.hit_counts()
-        for node in whole.nodes():
-            pattern = whole.pattern_of(node)
-            if pattern.letter_count >= 2:
-                assert merged.count_of(pattern) == whole.count_of(pattern)  # repro: ignore[REP701] -- per-pattern oracle probe, not a counting hot path
-
-    def test_merge_against_brute_force_oracle(self):
-        series = random_series(12, length=44)
-        period = 4
-        whole, (left, right), cmax, _ = self.make_trees(series, period, 0.3)
-        merged = left.merge(right)
-        oracle = brute_force_counts(series, period)
-        for letters, count in oracle.items():
-            if len(letters) >= 2 and letters <= cmax.letters:
-                assert merged.count_of_letters(letters) == count, letters  # repro: ignore[REP701] -- per-pattern oracle probe, not a counting hot path
-
-    def test_merge_is_commutative(self):
-        series = random_series(13, length=36)
-        _, (left_a, right_a), _, _ = self.make_trees(series, 3, 0.3)
-        _, (left_b, right_b), _, _ = self.make_trees(series, 3, 0.3)
-        ab = left_a.merge(right_a).hit_counts()
-        ba = right_b.merge(left_b).hit_counts()
-        assert ab == ba
-
-    def test_merge_rejects_different_cmax(self):
-        one = MaxSubpatternTree(Pattern.from_string("ab*"))
-        other = MaxSubpatternTree(Pattern.from_string("a*c"))
-        with pytest.raises(MiningError):
-            one.merge(other)
-
-    def test_merge_rejects_self(self):
-        tree = MaxSubpatternTree(Pattern.from_string("ab*"))
-        with pytest.raises(MiningError):
-            tree.merge(tree)
-
     def test_insert_letters_matches_insert(self):
         cmax = Pattern.from_string("a{b1,b2}*d*")
         by_pattern = MaxSubpatternTree(cmax)
@@ -223,69 +140,7 @@ class TestTreeMerge:
 
 
 # ---------------------------------------------------------------------------
-# Executor backends and error capture
-# ---------------------------------------------------------------------------
-
-
-def _double(task):
-    return task * 2
-
-
-def _fail_on_negative(task):
-    if task < 0:
-        raise ValueError(f"bad task {task}")
-    return task
-
-
-def _fail_off_main_process(task):
-    # Fails inside a worker process but succeeds on the parent's serial
-    # retry — the degradation path run_shards promises.
-    if os.getpid() != task:
-        raise RuntimeError("worker refused")
-    return "ok"
-
-
-class TestExecutor:
-    @pytest.mark.parametrize(
-        "backend",
-        [SerialBackend(), ThreadBackend(workers=3), ProcessBackend(workers=2)],
-    )
-    def test_map_preserves_order(self, backend):
-        outcomes = run_shards(backend, _double, list(range(7)))
-        assert [o.value for o in outcomes] == [0, 2, 4, 6, 8, 10, 12]
-        assert all(o.ok for o in outcomes)
-
-    def test_failed_shard_raises_after_serial_retry(self):
-        with pytest.raises(EngineError, match="shard 2"):
-            run_shards(SerialBackend(), _fail_on_negative, [1, 2, -1, 3])
-
-    def test_process_failure_degrades_to_serial_retry(self):
-        parent = os.getpid()
-        outcomes = run_shards(
-            ProcessBackend(workers=2), _fail_off_main_process, [parent, parent]
-        )
-        assert [o.value for o in outcomes] == ["ok", "ok"]
-        assert all(o.retried for o in outcomes)
-
-    def test_resolve_backend_auto(self):
-        from repro.engine.executor import visible_cpus
-
-        pool = "process" if visible_cpus() > 1 else "thread"
-        assert resolve_backend("auto", 1).name == "serial"
-        assert resolve_backend("auto", 4).name == pool
-        assert resolve_backend(None, 2).name == pool
-        backend = ThreadBackend(workers=2)
-        assert resolve_backend(backend, 8) is backend
-
-    def test_resolve_backend_rejects_unknown(self):
-        with pytest.raises(EngineError):
-            resolve_backend("gpu", 2)
-        with pytest.raises(EngineError):
-            resolve_backend("auto", 0)
-
-
-# ---------------------------------------------------------------------------
-# Worker kernels
+# Per-shard counters: scan 1 and scan 2 are additive over shards
 # ---------------------------------------------------------------------------
 
 
@@ -293,12 +148,16 @@ class TestWorkerKernels:
     def test_shard_letter_counts_sum_to_serial(self):
         series = random_series(21, length=50)
         period = 5
-        shards = partition_segments(series, period, num_shards=4)
-        merged = merge_counters(count_shard_letters(s) for s in shards)
-        whole = count_shard_letters(
-            partition_segments(series, period, num_shards=1)[0]
-        )
-        assert merged == whole
+        merged = sharded_miner(series, period, 0.5, shards=4).partial
+        oracle = {
+            next(iter(letters)): count
+            for letters, count in brute_force_counts(series, period).items()
+            if len(letters) == 1
+        }
+        assert {
+            letter: merged.letter_count(letter) for letter in oracle
+        } == oracle
+        assert merged.num_periods == series.num_periods(period)
 
     def test_hit_masks_match_tree_hits(self):
         series = random_series(22, length=60)
@@ -306,28 +165,19 @@ class TestWorkerKernels:
         serial = mine_single_period_hitset(series, period, 0.3)
         if not serial:
             pytest.skip("degenerate seed")
-        threshold = min_count(0.3, series.num_periods(period))
-        counts = count_shard_letters(
-            partition_segments(series, period, num_shards=1)[0]
-        )
-        f1 = {k: v for k, v in counts.items() if v >= threshold}
-        letter_order = tuple(sorted(f1))
-        cmax = Pattern.from_letters(period, f1)
-        reference = MaxSubpatternTree(cmax)
+        f1 = f1_of(series, period, 0.3)
+        reference = MaxSubpatternTree(Pattern.from_letters(period, f1))
         reference.insert_all_segments(series)
-        shard = partition_segments(series, period, num_shards=1)[0]
-        rebuilt = hits_to_tree(
-            period, letter_order, collect_shard_hits((shard, letter_order))
-        )
+        merged = sharded_miner(series, period, 0.3, shards=3).partial
+        rebuilt = merged.build_tree(f1)
         assert rebuilt.hit_counts() == reference.hit_counts()
 
 
 # ---------------------------------------------------------------------------
-# Randomized serial/parallel equivalence — the core guarantee
+# Randomized sharded/serial equivalence — the core guarantee
 # ---------------------------------------------------------------------------
 
-#: >= 20 seeded series as the issue requires, mixing random noise with
-#: planted periodic structure.
+#: >= 20 seeded series, mixing random noise with planted periodic structure.
 EQUIVALENCE_SEEDS = list(range(16))
 PLANTED_SEEDS = list(range(100, 106))
 
@@ -345,69 +195,61 @@ class TestEquivalence:
     def test_workers_match_serial(self, seed, workers):
         series, period, min_conf = _series_for(seed)
         serial = mine_single_period_hitset(series, period, min_conf)
-        parallel = ParallelMiner(
-            series, min_conf=min_conf, backend="thread"
-        ).mine(period, workers=workers)
-        assert_same_result(parallel, serial)
+        sharded = sharded_miner(series, period, min_conf, shards=workers)
+        assert_same_result(sharded.mine(), serial)
 
     @pytest.mark.parametrize("seed", EQUIVALENCE_SEEDS[:8])
     @pytest.mark.parametrize("chunk_size", [1, 3, 5])
     def test_chunk_sizes_match_serial(self, seed, chunk_size):
         series, period, min_conf = _series_for(seed)
         serial = mine_single_period_hitset(series, period, min_conf)
-        parallel = ParallelMiner(series, min_conf=min_conf, backend="thread").mine(
-            period, workers=2, chunk_size=chunk_size
+        sharded = sharded_miner(
+            series, period, min_conf, chunk_size=chunk_size
         )
-        assert_same_result(parallel, serial)
+        assert_same_result(sharded.mine(), serial)
 
     def test_uneven_chunking_matches_serial(self):
-        # 13 segments over 7 workers: sizes 2 and 1 interleaved.
+        # 13 segments over 7 shards: sizes 2 and 1 interleaved.
         series = random_series(31, length=13 * 4)
+        assert [stop - start for start, stop in segment_bounds(13, 7)] == [
+            2, 2, 2, 2, 2, 2, 1,
+        ]
         serial = mine_single_period_hitset(series, 4, 0.3)
-        parallel = ParallelMiner(series, min_conf=0.3, backend="thread").mine(
-            4, workers=7
-        )
-        assert_same_result(parallel, serial)
-
-    @pytest.mark.parametrize("seed", [0, 7, 104])
-    def test_process_backend_matches_serial(self, seed):
-        series, period, min_conf = _series_for(seed)
-        serial = mine_single_period_hitset(series, period, min_conf)
-        parallel = ParallelMiner(
-            series, min_conf=min_conf, backend="process"
-        ).mine(period, workers=2)
-        assert_same_result(parallel, serial)
+        sharded = sharded_miner(series, 4, 0.3, shards=7)
+        assert_same_result(sharded.mine(), serial)
 
     def test_empty_f1_matches_serial(self):
         series = FeatureSeries.from_symbols("abcdefgh")
         serial = mine_single_period_hitset(series, 2, 1.0)
-        parallel = ParallelMiner(series, min_conf=1.0).mine(2, workers=2)
-        assert len(parallel) == len(serial) == 0
-        assert parallel.stats.scans == serial.stats.scans == 1
+        sharded = sharded_miner(series, 2, 1.0, shards=2).mine()
+        assert len(sharded) == len(serial) == 0
+        assert sharded.num_periods == serial.num_periods == 4
 
     def test_max_letters_cap_matches_serial(self):
         series, period, min_conf = _series_for(103)
         serial = mine_single_period_hitset(
             series, period, min_conf, max_letters=2
         )
-        parallel = ParallelMiner(series, min_conf=min_conf).mine(
-            period, workers=3, backend="thread", max_letters=2
+        sharded = sharded_miner(series, period, min_conf, shards=3)
+        assert dict(sharded.mine(max_letters=2).items()) == dict(
+            serial.items()
         )
-        assert dict(parallel.items()) == dict(serial.items())
 
     def test_invalid_inputs_mirror_serial_errors(self):
-        miner = ParallelMiner("abcabc", min_conf=0.5)
+        series = FeatureSeries.from_symbols("abcabc")
         with pytest.raises(MiningError):
-            miner.mine(3, max_letters=0)
+            mine_single_period_hitset(series, 3, 0.5, max_letters=0)
         with pytest.raises(MiningError):
-            ParallelMiner("abcabc", min_conf=0.0)
+            sharded_miner(series, 3, 0.5, shards=2).mine(max_letters=0)
+        with pytest.raises(MiningError):
+            mine_single_period_hitset(series, 3, 0.0)
+        with pytest.raises(MiningError):
+            IncrementalHitSetMiner(3, min_conf=0.0)
 
     def test_merge_of_tree_shards_is_deterministic(self):
         series, period, min_conf = _series_for(102)
         results = [
-            ParallelMiner(series, min_conf=min_conf, backend="thread").mine(
-                period, workers=w
-            )
+            sharded_miner(series, period, min_conf, shards=w).mine()
             for w in (2, 3, 5)
         ]
         baseline = dict(results[0].items())
@@ -416,163 +258,68 @@ class TestEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Multi-period fan-out and engine stats
+# Multi-period mining
 # ---------------------------------------------------------------------------
 
 
 class TestMultiPeriod:
     def test_period_range_matches_looping(self):
         series, _, min_conf = _series_for(101)
-        serial = mine_periods_looping(series, range(2, 11), min_conf)
-        parallel = ParallelMiner(
-            series, min_conf=min_conf, backend="thread"
-        ).mine_period_range(2, 10, workers=3)
-        assert parallel.periods == serial.periods
-        for period in serial.periods:
-            assert dict(parallel[period].items()) == dict(
-                serial[period].items()
+        looping = mine_periods_looping(series, range(2, 11), min_conf)
+        shared = mine_period_range(series, 2, 10, min_conf)
+        assert shared.periods == looping.periods
+        for period in looping.periods:
+            assert dict(shared[period].items()) == dict(
+                looping[period].items()
             ), period
-        assert parallel.scans == serial.scans
-        assert parallel.engine is not None
-
-    def test_facade_workers_route_through_engine(self):
-        from repro.core.miner import PartialPeriodicMiner
-
-        miner = PartialPeriodicMiner("abdabcabdabc", min_conf=0.9)
-        serial = miner.mine(3)
-        parallel = miner.mine(3, workers=2, backend="thread")
-        assert dict(parallel.items()) == dict(serial.items())
-        assert parallel.engine is not None
-        assert serial.engine is None
-
-    def test_facade_rejects_parallel_apriori(self):
-        from repro.core.miner import PartialPeriodicMiner
-
-        miner = PartialPeriodicMiner("abcabc", algorithm="apriori")
-        with pytest.raises(MiningError):
-            miner.mine(3, workers=2)
-
-
-class TestEngineStats:
-    def test_slots_scanned_covers_two_passes(self):
-        series, period, min_conf = _series_for(105)
-        result = ParallelMiner(series, min_conf=min_conf, backend="thread").mine(
-            period, workers=4
-        )
-        m = series.num_periods(period)
-        assert result.engine.slots_scanned == 2 * m * period
-        assert result.engine.scan_equivalents(len(series)) == pytest.approx(
-            2 * m * period / len(series)
-        )
-
-    def test_stats_record_backend_and_shards(self):
-        result = ParallelMiner("abdabcabdabc", min_conf=0.9).mine(
-            3, workers=2, backend="thread"
-        )
-        engine = result.engine
-        assert engine.backend == "thread"
-        assert engine.workers == 2
-        assert {s.phase for s in engine.shards} == {"f1", "hits"}
-        if chaos_from_env() is None:
-            # Under the CI chaos job injected faults make retries expected.
-            assert engine.shards_retried == 0
-        assert "engine[thread]" in engine.summary()
-
-    def test_merge_trees_requires_input(self):
-        with pytest.raises(EngineError):
-            merge_trees([])
+            sharded = sharded_miner(series, period, min_conf, shards=3)
+            assert dict(sharded.mine().items()) == dict(
+                looping[period].items()
+            ), period
 
 
 # ---------------------------------------------------------------------------
-# Chaos equivalence — fault-injected runs match the serial baseline
+# Chaos equivalence — a killed, chaos-damaged durable run matches serial
 # ---------------------------------------------------------------------------
 
-#: >= 20 randomized chaos workloads, as the resilience issue requires.
+#: >= 20 randomized chaos workloads.
 CHAOS_SEEDS = list(range(14)) + [100, 101, 102, 103, 104, 105]
 
 
-def _chaos_policy() -> ResilienceContext:
-    """Enough attempts to outlast a 30% crash rate, with instant backoff."""
-    return ResilienceContext(
-        policy=RetryPolicy(max_attempts=6, backoff_base_s=0.0)
-    )
-
-
 class TestChaosEquivalence:
-    """Injected crashes and empty-message failures never change results."""
+    """Damaged snapshots and a kill mid-feed never change the result."""
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-    def test_crashy_run_matches_serial(self, seed):
+    def test_crashy_run_matches_serial(self, seed, tmp_path):
         series, period, min_conf = _series_for(seed)
         serial = mine_single_period_hitset(series, period, min_conf)
-        chaos = ChaosBackend(
-            inner=SerialBackend(),
-            config=ChaosConfig(seed=seed, crash_rate=0.3, empty_rate=0.1),
+        window = series.num_periods(period) * period
+        records = [sorted(slot) for slot in series.slots[:window]]
+        chaos = FileChaosConfig(
+            seed=seed, torn_rate=0.3, truncate_rate=0.1, stale_tmp_rate=0.1
         )
-        result = ParallelMiner(series, min_conf=min_conf, backend=chaos).mine(
-            period, workers=3, resilience=_chaos_policy()
-        )
-        assert_same_result(result, serial)
+        every = max(1, len(records) // 12)
 
-    @pytest.mark.parametrize("seed", CHAOS_SEEDS[:6])
-    def test_chaotic_thread_pool_matches_serial(self, seed):
-        series, period, min_conf = _series_for(seed)
-        serial = mine_single_period_hitset(series, period, min_conf)
-        chaos = ChaosBackend(
-            inner=ThreadBackend(workers=3),
-            config=ChaosConfig(seed=seed, crash_rate=0.3, empty_rate=0.05),
-        )
-        result = ParallelMiner(series, min_conf=min_conf, backend=chaos).mine(
-            period, workers=3, resilience=_chaos_policy()
-        )
-        assert_same_result(result, serial)
+        def open_stream() -> DurableStream:
+            return DurableStream(
+                tmp_path / "ckpt", period=period, window=window,
+                min_conf=min_conf, checkpoint_every=every,
+                chaos=FileChaos(chaos),
+            )
 
-    def test_hang_fault_times_out_and_recovers(self):
-        series, period, min_conf = _series_for(3)
-        serial = mine_single_period_hitset(series, period, min_conf)
-        chaos = ChaosBackend(
-            inner=ThreadBackend(workers=2),
-            config=ChaosConfig(seed=11, hang_rate=0.5, hang_s=0.4),
-        )
-        ctx = ResilienceContext(
-            policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0),
-            shard_timeout_s=0.05,
-        )
-        result = ParallelMiner(series, min_conf=min_conf, backend=chaos).mine(
-            period, workers=2, resilience=ctx
-        )
-        assert_same_result(result, serial)
-        assert result.engine.shards_retried >= 1
-
-    def test_fault_schedule_is_reproducible(self):
-        config = ChaosConfig(seed=42, crash_rate=0.4, empty_rate=0.2)
-        schedule = [
-            config.fault_for(round_number, task)
-            for round_number in range(4)
-            for task in range(12)
-        ]
-        again = [
-            config.fault_for(round_number, task)
-            for round_number in range(4)
-            for task in range(12)
-        ]
-        assert schedule == again
-        assert any(fault == "crash" for fault in schedule)
-        assert any(fault == "empty" for fault in schedule)
-        assert any(fault is None for fault in schedule)
-
-    def test_multiperiod_chaos_matches_serial(self):
-        series, _, min_conf = _series_for(101)
-        serial = mine_periods_looping(series, range(2, 9), min_conf)
-        chaos = ChaosBackend(
-            inner=SerialBackend(),
-            config=ChaosConfig(seed=9, crash_rate=0.3, empty_rate=0.1),
-        )
-        parallel = ParallelMiner(
-            series, min_conf=min_conf, backend=chaos
-        ).mine_period_range(2, 8, workers=3, resilience=_chaos_policy())
-        assert parallel.periods == serial.periods
-        for period in serial.periods:
-            assert dict(parallel[period].items()) == dict(
-                serial[period].items()
-            ), period
+        kill_at = random.Random(seed).randrange(1, len(records))
+        first = open_stream()
+        emitted = []
+        for record in records[:kill_at]:
+            emitted.extend(first.feed(record))
+        # Abandon the run as a SIGKILL would: no final snapshot or close.
+        first._ckpt._handle.close()
+        first._ckpt._handle = None
+        second = open_stream()
+        assert second.resumed
+        for record in records[second.records_logged:]:
+            emitted.extend(second.feed(record))
+        emitted.extend(second.finish())
+        second.close()
+        assert len(emitted) == 1
+        assert_same_result(emitted[0].result, serial)

@@ -138,3 +138,14 @@ class TestCoercion:
 
         scan = ScanCountingSeries(FeatureSeries.from_symbols("ab"))
         assert as_feature_series(scan) is scan
+
+
+class TestIdentity:
+    """Content fingerprint: what identifies a series."""
+
+    def test_content_digest_is_content_addressed(self):
+        one = FeatureSeries.from_symbols("abcabc")
+        two = FeatureSeries([{"a"}, {"b"}, {"c"}, {"a"}, {"b"}, {"c"}])
+        other = FeatureSeries.from_symbols("abcabd")
+        assert one.content_digest() == two.content_digest()
+        assert one.content_digest() != other.content_digest()

@@ -25,7 +25,6 @@ from repro.core.counting import (
 from repro.core.errors import MiningError
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.multiperiod import mine_periods_looping, mine_periods_shared
-from repro.engine.parallel import ParallelMiner
 from repro.core.pattern import Pattern
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.kernels import KERNELS
@@ -295,14 +294,6 @@ class TestKernelEquivalence:
                 loop_batched[period].items()
             )
 
-    def test_parallel_engine_kernels_agree(self):
-        series = random_series(9, length=80)
-        for kernel in KERNELS:
-            parallel = ParallelMiner(
-                series, min_conf=0.3, workers=2, backend="thread", kernel=kernel
-            ).mine(4)
-            serial = mine_single_period_hitset(series, 4, 0.3, kernel=kernel)
-            assert dict(parallel.items()) == dict(serial.items())
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +324,6 @@ class TestTreeMemoization:
         second = tree.hit_counts()
         assert first != second
         assert len(second) == 2
-
-    def test_hit_counts_memo_invalidated_by_merge(self):
-        left = self.make_tree()
-        right = self.make_tree()
-        left.insert_letters(((0, "a"), (1, "b")))
-        right.insert_letters(((0, "a"), (1, "b")))
-        right.insert_letters(((1, "b"), (2, "c")))
-        before = dict(left.hit_counts())
-        left.merge(right)
-        after = left.hit_counts()
-        assert after != before
-        assert left.hit_set_size == 2
-        assert sum(after.values()) == 3
 
     def test_count_masks_matches_count_of_mask(self):
         tree = self.make_tree()
@@ -509,26 +487,6 @@ class TestCountCache:
             ).hit_counter()
             assert projected == dict(expected), trial
 
-    def test_engine_warm_requery_skips_fanouts(self):
-        series = random_series(24, length=80)
-        cache = CountCache()
-        miner = ParallelMiner(series, min_conf=0.3, workers=2, backend="thread")
-        cold = miner.mine(4, cache=cache)
-        assert cold.stats.scans == 2
-        warm = miner.mine(4, cache=cache)
-        assert warm.stats.scans == 0
-        assert warm.engine.num_shards == 0  # no fan-out ran
-        assert dict(warm.items()) == dict(cold.items())
-
-    def test_serial_cache_serves_engine_and_back(self):
-        series = random_series(25, length=80)
-        cache = CountCache()
-        serial = mine_single_period_hitset(series, 4, 0.3, cache=cache)
-        engine = ParallelMiner(
-            series, min_conf=0.3, workers=2, backend="thread"
-        ).mine(4, cache=cache)
-        assert engine.stats.scans == 0
-        assert dict(engine.items()) == dict(serial.items())
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +522,6 @@ class TestMiningProfile:
         assert payload["counters"] == {"cache_hits": 1}
         json.dumps(payload)  # must be plain-JSON serializable
 
-    def test_engine_profile_stages(self):
-        series = random_series(31, length=80)
-        profile = MiningProfile()
-        ParallelMiner(series, min_conf=0.3, workers=2, backend="thread").mine(
-            4, profile=profile
-        )
-        names = [stage.name for stage in profile.stages]
-        for expected in ("partition", "scan1", "scan2", "merge", "derive"):
-            assert expected in names, expected
 
 
 # ---------------------------------------------------------------------------

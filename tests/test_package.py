@@ -19,17 +19,6 @@ class TestExports:
         assert len(names) == len(set(names)), "duplicate names in __all__"
         assert names == sorted(names), "__all__ should stay sorted"
 
-    def test_engine_api_exported(self):
-        for name in (
-            "ParallelMiner",
-            "EngineStats",
-            "EngineError",
-            "SegmentShard",
-            "partition_segments",
-        ):
-            assert name in repro.__all__, name
-            assert getattr(repro, name) is not None
-
     def test_version_string(self):
         parts = repro.__version__.split(".")
         assert len(parts) == 3
@@ -38,7 +27,6 @@ class TestExports:
     def test_subpackages_import(self):
         for module in (
             "repro.core",
-            "repro.engine",
             "repro.tree",
             "repro.timeseries",
             "repro.synth",
@@ -55,7 +43,6 @@ class TestExports:
         for module_name in (
             "repro.analysis",
             "repro.baselines",
-            "repro.engine",
             "repro.multilevel",
             "repro.perturbation",
             "repro.rules",

@@ -55,6 +55,7 @@ class TestSuggestions:
         series = unexpected_period_series(period=7, repetitions=100, seed=1)
         suggestions = suggest_periods(series, 2, 20, limit=2)
         assert len(suggestions) <= 2
+        assert suggest_periods(series, 2, 20, limit=0) == []
 
     def test_structureless_series_still_returns_something(self):
         series = FeatureSeries([{"always"}] * 40)

@@ -5,7 +5,8 @@ Algorithm 3.1, Algorithm 3.2 and the exhaustive oracle must agree exactly,
 and the structural properties the paper proves must hold.  The seeded
 sweep in :class:`TestEncodedPathEquivalence` additionally pins the
 interned-bitmask kernels to the legacy letter-set kernels byte for byte
-over hundreds of random series.
+over hundreds of random series, and :class:`TestMetamorphicRelations`
+checks relations between the results on related inputs.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ class TestEncodedPathEquivalence:
     """The tentpole invariant: encoded and legacy kernels are one miner.
 
     Every trial draws a fresh series/period/threshold and checks that the
-    bitmask paths (hit-set scan 2, apriori levels, sharded engine,
-    incremental signature replay) return *exactly* the patterns and counts
+    bitmask paths (hit-set scan 2, apriori levels, incremental signature
+    replay) return *exactly* the patterns and counts
     of the legacy letter-set paths and of the exhaustive oracle.
     """
 
@@ -222,21 +223,6 @@ class TestEncodedPathEquivalence:
                 )
                 assert dict(hitset.items()) == oracle
                 assert dict(apriori.items()) == oracle
-
-    def test_random_series_merged_shards_equal_oracle(self):
-        from repro.engine.parallel import ParallelMiner
-
-        rng = random.Random(0x4211)
-        for _ in range(self.TRIALS):
-            series = _random_series(rng)
-            period = rng.randint(2, 5)
-            conf = rng.choice([0.25, 0.5, 0.75])
-            workers = rng.randint(2, 4)
-            oracle = brute_force_frequent(series, period, conf)
-            sharded = ParallelMiner(
-                series, min_conf=conf, workers=workers, backend="serial"
-            ).mine(period)
-            assert dict(sharded.items()) == oracle
 
     def test_random_series_incremental_and_shared_paths(self):
         from repro.core.incremental import IncrementalHitSetMiner
@@ -333,3 +319,79 @@ class TestExtensionInvariants:
             if pattern.letter_count <= 2
         }
         assert dict(capped.items()) == expected
+
+
+def _whole_segments(series: FeatureSeries, period: int) -> list:
+    """The series' whole period segments, as lists of slots."""
+    slots = list(series)
+    return [
+        slots[start : start + period]
+        for start in range(0, series.num_periods(period) * period, period)
+    ]
+
+
+class TestMetamorphicRelations:
+    """Relations between mining results on related series.
+
+    Frequency counts are sums over whole period segments (paper §2), so
+    reordering or repeating segments transforms every count predictably.
+    Each relation is checked on both the serial hit-set miner and the
+    brute-force oracle, which share no counting code.
+    """
+
+    TRIALS = 150
+
+    def _draw(self, rng: random.Random):
+        series = _random_series(rng)
+        period = rng.randint(2, 5)
+        conf = rng.choice([0.2, 0.34, 0.5, 0.75, 1.0])
+        return series, period, conf
+
+    def test_permuting_whole_segments_keeps_every_count(self):
+        rng = random.Random(0x5E6)
+        for _ in range(self.TRIALS):
+            series, period, conf = self._draw(rng)
+            segments = _whole_segments(series, period)
+            tail = list(series)[len(segments) * period :]
+            rng.shuffle(segments)
+            permuted = FeatureSeries(
+                [slot for segment in segments for slot in segment] + tail
+            )
+            expected = brute_force_frequent(series, period, conf)
+            assert brute_force_frequent(permuted, period, conf) == expected
+            mined = mine_single_period_hitset(permuted, period, conf)
+            assert dict(mined.items()) == expected
+
+    def test_self_concatenation_doubles_every_count(self):
+        rng = random.Random(0xD0B1)
+        for _ in range(self.TRIALS):
+            series, period, conf = self._draw(rng)
+            whole = [slot for seg in _whole_segments(series, period) for slot in seg]
+            base = FeatureSeries(whole)
+            doubled = FeatureSeries(whole + whole)
+            expected = {
+                pattern: 2 * count
+                for pattern, count in brute_force_frequent(
+                    base, period, conf
+                ).items()
+            }
+            assert brute_force_frequent(doubled, period, conf) == expected
+            mined = mine_single_period_hitset(doubled, period, conf)
+            assert mined.num_periods == 2 * base.num_periods(period)
+            assert dict(mined.items()) == expected
+
+    def test_raising_min_conf_returns_subset_with_same_counts(self):
+        rng = random.Random(0xC0F)
+        for _ in range(self.TRIALS):
+            series, period, _ = self._draw(rng)
+            low, high = sorted(rng.sample([0.2, 0.34, 0.5, 0.75, 1.0], 2))
+            loose = dict(mine_single_period_hitset(series, period, low).items())
+            strict = dict(mine_single_period_hitset(series, period, high).items())
+            assert strict.items() <= loose.items()
+            floor = min_count(high, series.num_periods(period))
+            assert strict == {
+                pattern: count
+                for pattern, count in loose.items()
+                if count >= floor
+            }
+            assert strict == brute_force_frequent(series, period, high)

@@ -1,181 +1,21 @@
-"""The resilience layer: retry policy, deadlines, checkpoints, chaos.
+"""Request deadlines: the per-request budget behind ``ppm serve --request-timeout``.
 
-Covers the unit contracts (backoff determinism, classification, journal
-round-trips) and the integration guarantees the issue demands: every
-chaos fault site is reachable, a killed run resumes from its journal
-without re-running completed shards, and broken pools walk the
-degradation ladder instead of failing the run.
+:class:`~repro.serve.deadline.Deadline` is a monotonic budget checked
+between the phases of a mining request and bounding the awaitables the
+server schedules on its behalf.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
-from repro.core.errors import (
-    EngineError,
-    MiningError,
-    ResilienceError,
-    ShardTimeout,
-)
-from repro.core.hitset import mine_single_period_hitset
-from repro.engine.executor import (
-    BackendLadder,
-    ExecutionBackend,
-    SerialBackend,
-    ShardOutcome,
-    ThreadBackend,
-    run_shards,
-)
-from repro.engine.parallel import ParallelMiner
-from repro.resilience import (
-    CheckpointJournal,
-    Deadline,
-    FailureAction,
-    ResilienceContext,
-    RetryPolicy,
-    backoff_delay,
-    decode_payload,
-    encode_payload,
-    series_fingerprint,
-)
-from repro.resilience.chaos import (
-    ChaosBackend,
-    ChaosConfig,
-    ChaosCrash,
-    ChaosEmptyError,
-    chaos_from_env,
-)
-from repro.timeseries.feature_series import FeatureSeries
-
-# ---------------------------------------------------------------------------
-# Module-level worker functions (picklable, shared by the tests)
-# ---------------------------------------------------------------------------
-
-
-def _double(task):
-    return task * 2
-
-
-def _double_counts(task):
-    return Counter({key: count * 2 for key, count in task.items()})
-
-
-def _fail_on_negative(task):
-    if task < 0:
-        raise ValueError(f"negative task {task}")
-    return task
-
-
-def _fail_fatal(task):
-    raise MiningError("deterministic input error")
-
-
-def _raise_empty(task):
-    raise ValueError()
-
-
-def _slow_every_other(task):
-    if task % 2 == 0:
-        from repro.resilience.backoff import sleep
-
-        sleep(0.3)
-    return task * 2
-
-
-_RUN_KEY = {"series": "feed", "plan": [[0, 3, 0, 4]]}
-
-
-# ---------------------------------------------------------------------------
-# Backoff
-# ---------------------------------------------------------------------------
-
-
-class TestBackoff:
-    def test_exponential_growth_and_cap(self):
-        delays = [
-            backoff_delay(a, base_s=0.1, cap_s=0.5, jitter=0.0)
-            for a in (1, 2, 3, 4, 5)
-        ]
-        assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
-
-    def test_zero_base_disables_backoff(self):
-        assert backoff_delay(5, base_s=0.0, cap_s=9.0) == 0.0
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        one = backoff_delay(2, 0.1, 10.0, jitter=0.5, seed=7, shard=3)
-        two = backoff_delay(2, 0.1, 10.0, jitter=0.5, seed=7, shard=3)
-        assert one == two
-        assert 0.1 <= one <= 0.2
-        other_shard = backoff_delay(2, 0.1, 10.0, jitter=0.5, seed=7, shard=4)
-        assert other_shard != one
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"attempt": 0, "base_s": 0.1, "cap_s": 1.0},
-            {"attempt": 1, "base_s": -0.1, "cap_s": 1.0},
-            {"attempt": 1, "base_s": 0.1, "cap_s": 1.0, "jitter": 1.5},
-        ],
-    )
-    def test_rejects_bad_arguments(self, kwargs):
-        with pytest.raises(ResilienceError):
-            backoff_delay(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Retry policy
-# ---------------------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_default_reproduces_retry_once(self):
-        policy = RetryPolicy()
-        assert policy.max_attempts == 2
-        assert not policy.exhausted(1)
-        assert policy.exhausted(2)
-
-    def test_classification(self):
-        policy = RetryPolicy()
-        assert policy.classify("RuntimeError") is FailureAction.RETRY
-        assert policy.classify("MiningError") is FailureAction.FAIL
-        assert policy.classify("EngineError") is FailureAction.FAIL
-        assert policy.classify(None) is FailureAction.RETRY
-        assert policy.classify("NeverHeardOfIt") is FailureAction.RETRY
-        # Exact-name matching: the ShardTimeout subclass is not covered
-        # by listing its parent ResilienceError.
-        assert policy.classify("ShardTimeout") is FailureAction.RETRY
-
-    def test_retryable_override_beats_fatal(self):
-        policy = RetryPolicy(retryable_types=frozenset({"MiningError"}))
-        assert policy.classify("MiningError") is FailureAction.RETRY
-
-    def test_delay_uses_shard_and_seed(self):
-        policy = RetryPolicy(seed=5)
-        assert policy.delay_s(1, shard=0) == policy.delay_s(1, shard=0)
-        assert policy.delay_s(1, shard=0) != policy.delay_s(1, shard=1)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"backoff_base_s": -1.0},
-            {"backoff_base_s": 2.0, "backoff_cap_s": 1.0},
-            {"jitter": 2.0},
-        ],
-    )
-    def test_rejects_bad_policies(self, kwargs):
-        with pytest.raises(ResilienceError):
-            RetryPolicy(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Deadline
-# ---------------------------------------------------------------------------
+from repro.core.errors import DeadlineExceeded, ServeError
+from repro.serve.deadline import Deadline
 
 
 class TestDeadline:
+    """The per-request budget behind ``--request-timeout``."""
+
     def test_fresh_deadline_is_live(self):
         deadline = Deadline.start(60.0)
         assert not deadline.expired
@@ -188,9 +28,9 @@ class TestDeadline:
         assert deadline.remaining() == 0.0
 
     def test_rejects_non_positive_budget(self):
-        with pytest.raises(ResilienceError):
+        with pytest.raises(ServeError):
             Deadline.start(0.0)
-        with pytest.raises(ResilienceError):
+        with pytest.raises(ServeError):
             Deadline.start(-3.0)
 
     def test_check_passes_while_live(self):
@@ -198,7 +38,7 @@ class TestDeadline:
 
     def test_check_raises_once_expired(self):
         deadline = Deadline.start(1e-9)
-        with pytest.raises(ShardTimeout, match="scan phase"):
+        with pytest.raises(DeadlineExceeded, match="scan phase"):
             deadline.check("scan phase")
 
     def test_bound_returns_result_within_budget(self):
@@ -221,7 +61,7 @@ class TestDeadline:
         async def scenario():
             await Deadline.start(0.02).bound(slow(), "mine request")
 
-        with pytest.raises(ShardTimeout, match="mine request"):
+        with pytest.raises(DeadlineExceeded, match="mine request"):
             asyncio.run(scenario())
 
     def test_bound_on_expired_deadline_never_schedules(self):
@@ -236,598 +76,7 @@ class TestDeadline:
             deadline = Deadline.start(1e-9)
             await deadline.bound(work())
 
-        with pytest.raises(ShardTimeout):
+        with pytest.raises(DeadlineExceeded):
             asyncio.run(scenario())
         # The coroutine was closed, not silently started.
         assert ran == []
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint journal
-# ---------------------------------------------------------------------------
-
-
-class TestPayloadCodec:
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            Counter(),
-            Counter({3: 2, 7: 1}),
-            Counter({(0, "a"): 4, (2, "b"): 1}),
-            Counter({((0, "a"), (1, "b")): 3, ((2, "c"),): 1}),
-            (
-                3,
-                4,
-                ((0, "a"), (1, "b")),
-                [(1, 4), (3, 2)],
-                {
-                    "scans": 2,
-                    "tree_nodes": 5,
-                    "hit_set_size": 3,
-                    "candidate_counts": {1: 2, 2: 1},
-                },
-            ),
-        ],
-    )
-    def test_round_trip(self, payload):
-        assert decode_payload(encode_payload(payload)) == payload
-
-    def test_rejects_unknown_payloads(self):
-        with pytest.raises(ResilienceError):
-            encode_payload(object())
-        with pytest.raises(ResilienceError):
-            decode_payload({"kind": "nope"})
-
-
-class TestCheckpointJournal:
-    def test_record_and_reload(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with CheckpointJournal(path, _RUN_KEY) as journal:
-            journal.record("f1", 0, Counter({1: 2}), 0.5)
-            journal.record("f1", 2, Counter({4: 1}), 0.25)
-        reopened = CheckpointJournal(path, _RUN_KEY)
-        assert reopened.get("f1", 0) == (Counter({1: 2}), 0.5)
-        assert reopened.get("f1", 1) is None
-        assert reopened.get("f1", 2) == (Counter({4: 1}), 0.25)
-        assert reopened.completed("f1") == 2
-        assert len(reopened) == 2
-        reopened.close()
-
-    def test_record_is_idempotent(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with CheckpointJournal(path, _RUN_KEY) as journal:
-            journal.record("f1", 0, Counter({1: 1}), 0.1)
-            journal.record("f1", 0, Counter({9: 9}), 9.0)
-            assert journal.get("f1", 0) == (Counter({1: 1}), 0.1)
-        assert sum(1 for _ in path.open()) == 2  # header + one entry
-
-    def test_rejects_mismatched_run_key(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        CheckpointJournal(path, _RUN_KEY).close()
-        with pytest.raises(ResilienceError, match="different run"):
-            CheckpointJournal(path, {"series": "other", "plan": []})
-
-    def test_rejects_non_journal_file(self, tmp_path):
-        path = tmp_path / "bogus.jsonl"
-        path.write_text('{"format": "something-else"}\n')
-        with pytest.raises(ResilienceError, match="not a checkpoint"):
-            CheckpointJournal(path, _RUN_KEY)
-
-    def test_tolerates_truncated_final_line(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with CheckpointJournal(path, _RUN_KEY) as journal:
-            journal.record("f1", 0, Counter({1: 2}), 0.5)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"phase": "f1", "shard": 1, "payl')  # killed writer
-        reopened = CheckpointJournal(path, _RUN_KEY)
-        assert reopened.get("f1", 0) is not None
-        assert reopened.get("f1", 1) is None
-        reopened.close()
-
-    def test_tolerates_structurally_torn_final_record(self, tmp_path, capsys):
-        """A torn trailing record can still parse as JSON (the write was
-        cut right after a brace) yet miss its fields — it must be skipped
-        with a warning, exactly like a half-line, not crash the resume."""
-        path = tmp_path / "run.jsonl"
-        with CheckpointJournal(path, _RUN_KEY) as journal:
-            journal.record("f1", 0, Counter({1: 2}), 0.5)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"phase": "f1", "shard": 1}\n')  # no payload
-        reopened = CheckpointJournal(path, _RUN_KEY)
-        assert reopened.get("f1", 0) is not None
-        assert reopened.get("f1", 1) is None
-        assert "torn trailing" in capsys.readouterr().err
-        reopened.close()
-
-    def test_torn_final_record_without_phase_is_skipped(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with CheckpointJournal(path, _RUN_KEY) as journal:
-            journal.record("f1", 0, Counter({1: 2}), 0.5)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write("{}\n")
-        reopened = CheckpointJournal(path, _RUN_KEY)
-        assert len(reopened) == 1
-        reopened.close()
-
-    def test_structural_damage_before_the_end_still_raises(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with CheckpointJournal(path, _RUN_KEY) as journal:
-            journal.record("f1", 0, Counter({1: 2}), 0.5)
-            journal.record("f1", 1, Counter({2: 1}), 0.5)
-        lines = path.read_text().splitlines()
-        lines[1] = '{"phase": "f1", "shard": 0}'  # mid-journal, incomplete
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises((ResilienceError, KeyError)):
-            CheckpointJournal(path, _RUN_KEY)
-
-    def test_rejects_corruption_before_the_end(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with CheckpointJournal(path, _RUN_KEY) as journal:
-            journal.record("f1", 0, Counter({1: 2}), 0.5)
-            journal.record("f1", 1, Counter({2: 1}), 0.5)
-        lines = path.read_text().splitlines()
-        lines[1] = "garbage"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ResilienceError, match=":2"):
-            CheckpointJournal(path, _RUN_KEY)
-
-    def test_meta_pins_across_reopen(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with CheckpointJournal(path, _RUN_KEY) as journal:
-            journal.ensure_meta("hits", [[0, "a"], [1, "b"]])
-        reopened = CheckpointJournal(path, _RUN_KEY)
-        reopened.ensure_meta("hits", [[0, "a"], [1, "b"]])  # same: fine
-        with pytest.raises(ResilienceError, match="metadata changed"):
-            reopened.ensure_meta("hits", [[0, "a"], [1, "z"]])
-        reopened.close()
-
-    def test_closed_journal_refuses_writes(self, tmp_path):
-        journal = CheckpointJournal(tmp_path / "run.jsonl", _RUN_KEY)
-        journal.close()
-        journal.close()  # idempotent
-        with pytest.raises(ResilienceError, match="closed"):
-            journal.record("f1", 0, Counter(), 0.0)
-
-    def test_series_fingerprint_is_content_addressed(self):
-        one = FeatureSeries.from_symbols("abcabc")
-        two = FeatureSeries([{"a"}, {"b"}, {"c"}, {"a"}, {"b"}, {"c"}])
-        other = FeatureSeries.from_symbols("abcabd")
-        assert series_fingerprint(one) == series_fingerprint(two)
-        assert series_fingerprint(one) != series_fingerprint(other)
-
-
-# ---------------------------------------------------------------------------
-# Resilience context
-# ---------------------------------------------------------------------------
-
-
-class TestResilienceContext:
-    def test_create_wires_the_knobs(self, tmp_path):
-        ctx = ResilienceContext.create(
-            max_attempts=5,
-            backoff_base_s=0.0,
-            shard_timeout_s=2.0,
-            deadline_s=60.0,
-            journal_path=tmp_path / "run.jsonl",
-            run_key=_RUN_KEY,
-        )
-        with ctx:
-            assert ctx.policy.max_attempts == 5
-            assert ctx.shard_timeout_s == 2.0
-            assert ctx.deadline is not None and not ctx.deadline.expired
-            assert ctx.journal is not None
-
-    def test_journal_requires_run_key(self, tmp_path):
-        with pytest.raises(ResilienceError, match="run_key"):
-            ResilienceContext.create(journal_path=tmp_path / "run.jsonl")
-
-    def test_rejects_bad_timeout(self):
-        with pytest.raises(ResilienceError):
-            ResilienceContext(shard_timeout_s=0.0)
-
-    def test_journal_free_context_is_a_no_op(self):
-        ctx = ResilienceContext()
-        assert ctx.restored("f1", 5) == {}
-        ctx.checkpoint("f1", 0, Counter(), 0.0)  # silently ignored
-        ctx.pin_meta("hits", [1, 2])
-        ctx.close()
-
-
-# ---------------------------------------------------------------------------
-# run_shards under the resilience contract
-# ---------------------------------------------------------------------------
-
-
-class _CountingFn:
-    """Module-scope callables track calls via this mutable cell."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = []
-
-    def __call__(self, task):
-        self.calls.append(task)
-        return self.fn(task)
-
-
-class _BrokenPoolBackend(ExecutionBackend):
-    """Reports every task as lost to a broken pool, like a dead executor."""
-
-    name = "process"
-    workers = 2
-
-    def __init__(self, break_rounds: int = 99):
-        self.break_rounds = break_rounds
-        self.rounds = 0
-
-    def map(self, fn, tasks, *, timeout_s=None, deadline=None):
-        self.rounds += 1
-        return [
-            ShardOutcome(
-                index=index,
-                error="pool died",
-                error_type="BrokenProcessPool",
-            )
-            for index in range(len(tasks))
-        ]
-
-
-class _SlowSerialBackend(SerialBackend):
-    """Serial backend whose reported elapsed time always overruns."""
-
-    def map(self, fn, tasks, *, timeout_s=None, deadline=None):
-        outcomes = super().map(fn, tasks, timeout_s=None, deadline=deadline)
-        if timeout_s is None:
-            return outcomes
-        marked = []
-        for outcome in outcomes:
-            if outcome.ok:
-                marked.append(
-                    ShardOutcome(
-                        index=outcome.index,
-                        error=f"shard overran its {timeout_s}s budget",
-                        error_type="ShardTimeout",
-                    )
-                )
-            else:
-                marked.append(outcome)
-        return marked
-
-
-class TestRunShards:
-    def test_fatal_error_aborts_without_retry(self):
-        fn = _CountingFn(_fail_fatal)
-        with pytest.raises(EngineError, match="non-retryable MiningError"):
-            run_shards(
-                SerialBackend(),
-                fn,
-                [1, 2, 3],
-                ResilienceContext(
-                    policy=RetryPolicy(max_attempts=5, backoff_base_s=0.0)
-                ),
-            )
-        # One backend attempt each, zero retries.
-        assert fn.calls == [1, 2, 3]
-
-    def test_attempt_budget_is_honored(self):
-        fn = _CountingFn(_fail_on_negative)
-        ctx = ResilienceContext(
-            policy=RetryPolicy(max_attempts=4, backoff_base_s=0.0)
-        )
-        with pytest.raises(EngineError, match="4-attempt budget"):
-            run_shards(SerialBackend(), fn, [-1], ctx)
-        assert fn.calls == [-1, -1, -1, -1]
-
-    def test_expired_deadline_raises_shard_timeout(self):
-        ctx = ResilienceContext(
-            policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
-            deadline=Deadline.start(1e-9),
-        )
-        with pytest.raises(ShardTimeout, match="deadline"):
-            run_shards(SerialBackend(), _double, [1, 2], ctx)
-
-    def test_serial_timeout_marks_and_recovers_in_parent(self):
-        ctx = ResilienceContext(
-            policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
-            shard_timeout_s=0.5,
-        )
-        outcomes = run_shards(_SlowSerialBackend(), _double, [1, 2], ctx)
-        assert [o.value for o in outcomes] == [2, 4]
-        assert all(o.retried for o in outcomes)
-
-    def test_pool_timeout_feeds_retry_ladder(self):
-        ctx = ResilienceContext(
-            policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
-            shard_timeout_s=0.05,
-        )
-        outcomes = run_shards(
-            ThreadBackend(workers=2), _slow_every_other, [0, 1], ctx
-        )
-        assert [o.value for o in outcomes] == [0, 2]
-
-    def test_broken_pool_walks_the_ladder(self):
-        ladder = BackendLadder(_BrokenPoolBackend())
-        outcomes = run_shards(ladder, _double, [1, 2, 3])
-        assert [o.value for o in outcomes] == [2, 4, 6]
-        # process -> thread succeeded on the first rung down.
-        assert [d.to_backend for d in ladder.degradations] == ["thread"]
-        assert ladder.degradations[0].from_backend == "process"
-        assert ladder.degradations[0].reason == "BrokenProcessPool"
-        assert ladder.backend.name == "thread"
-
-    def test_demotion_is_sticky_across_calls(self):
-        ladder = BackendLadder(_BrokenPoolBackend())
-        run_shards(ladder, _double, [1])
-        assert ladder.backend.name == "thread"
-        run_shards(ladder, _double, [2, 3])
-        # Already demoted: no second degradation event.
-        assert len(ladder.degradations) == 1
-
-    def test_ladder_bottom_falls_back_to_parent_retries(self):
-        class _BrokenSerial(SerialBackend):
-            def map(self, fn, tasks, *, timeout_s=None, deadline=None):
-                return [
-                    ShardOutcome(
-                        index=index,
-                        error="",
-                        error_type="BrokenExecutor",
-                    )
-                    for index in range(len(tasks))
-                ]
-
-        ladder = BackendLadder(_BrokenSerial())
-        outcomes = run_shards(ladder, _double, [5])
-        assert [o.value for o in outcomes] == [10]
-        assert ladder.degradations == []
-        assert all(o.retried for o in outcomes)
-
-    def test_empty_error_message_falls_back_to_repr(self):
-        outcomes = SerialBackend().map(_raise_empty, [1])
-        assert outcomes[0].error == "ValueError()"
-        assert outcomes[0].error_type == "ValueError"
-
-    def test_resume_skips_completed_shards(self, tmp_path):
-        run_key = {"plan": "x"}
-        fn = _CountingFn(_double_counts)
-        ctx1 = ResilienceContext.create(
-            backoff_base_s=0.0,
-            journal_path=tmp_path / "run.jsonl",
-            run_key=run_key,
-        )
-        with ctx1:
-            first = run_shards(
-                SerialBackend(),
-                fn,
-                [Counter({1: 1}), Counter({2: 2})],
-                ctx1,
-                phase="f1",
-            )
-        assert len(fn.calls) == 2
-
-        fn2 = _CountingFn(_double_counts)
-        ctx2 = ResilienceContext.create(
-            backoff_base_s=0.0,
-            journal_path=tmp_path / "run.jsonl",
-            run_key=run_key,
-        )
-        with ctx2:
-            second = run_shards(
-                SerialBackend(),
-                fn2,
-                [Counter({1: 1}), Counter({2: 2})],
-                ctx2,
-                phase="f1",
-            )
-        assert fn2.calls == []  # nothing re-ran
-        assert [o.value for o in second] == [o.value for o in first]
-        assert all(o.resumed and o.attempts == 0 for o in second)
-
-    def test_partial_journal_runs_only_missing_shards(self, tmp_path):
-        run_key = {"plan": "y"}
-        journal = CheckpointJournal(tmp_path / "run.jsonl", run_key)
-        journal.record("f1", 1, Counter({7: 7}), 0.1)
-        journal.close()
-        fn = _CountingFn(_double_counts)
-        ctx = ResilienceContext.create(
-            backoff_base_s=0.0,
-            journal_path=tmp_path / "run.jsonl",
-            run_key=run_key,
-        )
-        with ctx:
-            outcomes = run_shards(
-                SerialBackend(),
-                fn,
-                [Counter({1: 1}), Counter({9: 9}), Counter({3: 3})],
-                ctx,
-                phase="f1",
-            )
-        assert fn.calls == [Counter({1: 1}), Counter({3: 3})]
-        assert outcomes[1].resumed
-        assert outcomes[1].value == Counter({7: 7})  # journal wins
-        assert not outcomes[0].resumed and not outcomes[2].resumed
-
-
-# ---------------------------------------------------------------------------
-# Chaos harness
-# ---------------------------------------------------------------------------
-
-
-class TestChaosHarness:
-    def test_every_fault_site_is_reachable(self):
-        config = ChaosConfig(
-            seed=1, crash_rate=0.3, hang_rate=0.3, empty_rate=0.3, hang_s=0.0
-        )
-        faults = {
-            config.fault_for(round_number, task)
-            for round_number in range(6)
-            for task in range(12)
-        }
-        assert faults == {"crash", "hang", "empty", None}
-
-    def test_injection_is_reproducible(self):
-        def run_once():
-            backend = ChaosBackend(
-                inner=SerialBackend(),
-                config=ChaosConfig(seed=13, crash_rate=0.5),
-            )
-            return backend.map(_double, list(range(10)))
-
-        first, second = run_once(), run_once()
-        assert [o.error_type for o in first] == [o.error_type for o in second]
-        assert any(o.error_type == "ChaosCrash" for o in first)
-
-    def test_crash_and_empty_faults_raise_expected_types(self):
-        # Ordinary RuntimeErrors: the policy treats them as retryable.
-        assert issubclass(ChaosCrash, RuntimeError)
-        assert issubclass(ChaosEmptyError, RuntimeError)
-        config = ChaosConfig(seed=2, crash_rate=1.0, empty_rate=0.0)
-        backend = ChaosBackend(inner=SerialBackend(), config=config)
-        outcomes = backend.map(_double, [1])
-        assert outcomes[0].error_type == "ChaosCrash"
-
-        config = ChaosConfig(seed=2, crash_rate=0.0, empty_rate=1.0)
-        backend = ChaosBackend(inner=SerialBackend(), config=config)
-        outcomes = backend.map(_double, [1])
-        assert outcomes[0].error_type == "ChaosEmptyError"
-        assert outcomes[0].error  # repr fallback, never empty
-
-    def test_retry_rounds_draw_fresh_faults(self):
-        backend = ChaosBackend(
-            inner=SerialBackend(),
-            config=ChaosConfig(seed=13, crash_rate=0.5),
-        )
-        first = backend.map(_double, list(range(10)))
-        second = backend.map(_double, list(range(10)))
-        assert [o.error_type for o in first] != [
-            o.error_type for o in second
-        ]
-
-    def test_name_is_transparent_and_demotion_rewraps(self):
-        from repro.engine.executor import _demote
-
-        backend = ChaosBackend(
-            inner=ThreadBackend(workers=2), config=ChaosConfig(seed=0)
-        )
-        assert backend.name == "thread"
-        demoted = _demote(backend)
-        assert isinstance(demoted, ChaosBackend)
-        assert demoted.name == "serial"
-
-    def test_rejects_bad_rates(self):
-        with pytest.raises(ResilienceError):
-            ChaosConfig(seed=0, crash_rate=0.8, empty_rate=0.5)
-        with pytest.raises(ResilienceError):
-            ChaosConfig(seed=0, crash_rate=-0.1)
-
-    def test_chaos_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS_SEED", raising=False)
-        assert chaos_from_env() is None
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "17")
-        monkeypatch.setenv("REPRO_CHAOS_RATES", "0.2,0.1,0.05")
-        monkeypatch.delenv("REPRO_CHAOS_HANG_S", raising=False)
-        config = chaos_from_env()
-        assert config == ChaosConfig(
-            seed=17, crash_rate=0.2, hang_rate=0.1, empty_rate=0.05
-        )
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "not-a-number")
-        with pytest.raises(ResilienceError):
-            chaos_from_env()
-
-    def test_env_chaos_wraps_spec_resolved_backends(self, monkeypatch):
-        from repro.engine.executor import resolve_backend
-
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "3")
-        monkeypatch.delenv("REPRO_CHAOS_RATES", raising=False)
-        wrapped = resolve_backend("serial", 1)
-        assert isinstance(wrapped, ChaosBackend)
-        assert wrapped.name == "serial"
-        # Instances pass through unwrapped.
-        backend = ThreadBackend(workers=2)
-        assert resolve_backend(backend, 2) is backend
-
-
-# ---------------------------------------------------------------------------
-# Kill + resume at the miner level — the acceptance scenario
-# ---------------------------------------------------------------------------
-
-
-class TestMinerResume:
-    SERIES = "abdabcabdabc" * 25
-
-    def _baseline(self):
-        return mine_single_period_hitset(
-            FeatureSeries.from_symbols(self.SERIES), 3, 0.9
-        )
-
-    def test_killed_run_resumes_without_rerunning_shards(self, tmp_path):
-        journal_path = tmp_path / "mine.jsonl"
-        # First run dies mid-flight: every chaos fault is fatal because
-        # the policy allows a single attempt.
-        chaos = ChaosBackend(
-            inner=SerialBackend(),
-            config=ChaosConfig(seed=4, crash_rate=0.45),
-        )
-        doomed = ResilienceContext(
-            policy=RetryPolicy(max_attempts=1, backoff_base_s=0.0)
-        )
-        with pytest.raises(EngineError):
-            ParallelMiner(self.SERIES, min_conf=0.9, backend=chaos).mine(
-                3, workers=4, resilience=doomed, journal_path=journal_path
-            )
-        progressed = journal_path.read_text().count('"shard"')
-        assert progressed >= 1  # the kill landed mid-run, not before it
-
-        # Second run resumes fault-free and matches the serial baseline.
-        result = ParallelMiner(self.SERIES, min_conf=0.9).mine(
-            3, workers=4, backend="serial", journal_path=journal_path
-        )
-        serial = self._baseline()
-        assert dict(result.items()) == dict(serial.items())
-        assert result.engine.shards_resumed == progressed
-
-    def test_completed_journal_replays_everything(self, tmp_path):
-        journal_path = tmp_path / "mine.jsonl"
-        miner = ParallelMiner(self.SERIES, min_conf=0.9)
-        first = miner.mine(
-            3, workers=3, backend="serial", journal_path=journal_path
-        )
-        second = miner.mine(
-            3, workers=3, backend="serial", journal_path=journal_path
-        )
-        assert dict(second.items()) == dict(first.items())
-        assert second.engine.shards_resumed == second.engine.num_shards * 2 - (
-            second.engine.num_shards
-        )  # every (phase, shard) pair replayed: f1 + hits rows
-        assert all(s.resumed for s in second.engine.shards)
-
-    def test_resume_rejects_changed_parameters(self, tmp_path):
-        journal_path = tmp_path / "mine.jsonl"
-        miner = ParallelMiner(self.SERIES, min_conf=0.9)
-        miner.mine(3, workers=2, backend="serial", journal_path=journal_path)
-        with pytest.raises(ResilienceError, match="different run"):
-            miner.mine(
-                3,
-                workers=2,
-                min_conf=0.8,
-                backend="serial",
-                journal_path=journal_path,
-            )
-
-    def test_deadline_cut_run_is_resumable(self, tmp_path):
-        journal_path = tmp_path / "mine.jsonl"
-        expired = ResilienceContext(
-            policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0),
-            deadline=Deadline.start(1e-9),
-        )
-        with pytest.raises(ShardTimeout):
-            ParallelMiner(self.SERIES, min_conf=0.9).mine(
-                3,
-                workers=2,
-                backend="serial",
-                resilience=expired,
-                journal_path=journal_path,
-            )
-        result = ParallelMiner(self.SERIES, min_conf=0.9).mine(
-            3, workers=2, backend="serial", journal_path=journal_path
-        )
-        assert dict(result.items()) == dict(self._baseline().items())

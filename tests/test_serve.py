@@ -609,7 +609,6 @@ class TestAppEndpoints:
         for bad in (
             {"concurrency": 0},
             {"max_pending": 0},
-            {"mine_workers": 0},
             {"result_cache_entries": -1},
             {"request_timeout_s": 0.0},
             {"tenant_cache_share": 0},
