@@ -471,14 +471,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuzz = commands.add_parser(
         "fuzz",
-        help="differentially fuzz the counting kernels against each other",
+        help="differentially fuzz the counting kernels and the loader",
         description=(
             "Coverage-guided differential fuzzing: randomized series are "
             "mined through every kernel tier (columnar, batched, legacy) "
-            "plus a brute-force oracle, and the store primitives are "
-            "cross-checked against naive recomputation; any divergence "
-            "is a bug.  --self-check injects known kernel bugs and fails "
-            "unless the fuzzer catches every one."
+            "plus a brute-force oracle, the store primitives are "
+            "cross-checked against naive recomputation, and random byte "
+            "files must load exactly as the per-line reader loads them; "
+            "any divergence is a bug.  --self-check injects known kernel "
+            "and loader bugs and fails unless the fuzzer catches every one."
         ),
     )
     fuzz.add_argument(
@@ -494,8 +495,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--self-check",
         action="store_true",
         help=(
-            "mutation-test the fuzzer itself: inject known columnar bugs "
-            "and require a divergence for each"
+            "mutation-test the fuzzer itself: inject known kernel and "
+            "loader bugs and require a divergence for each"
         ),
     )
     fuzz.add_argument(
@@ -1095,7 +1096,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
             exit_code = 1
         else:
             print(
-                f"self-check ok: {len(caught)} injected kernel bugs, "
+                f"self-check ok: {len(caught)} injected bugs, "
                 "all caught"
             )
     print(f"({time.perf_counter() - started:.2f}s)")

@@ -13,7 +13,11 @@ from __future__ import annotations
 from repro.core.candidates import generate_candidate_masks, generate_candidates
 from repro.core.counting import count_candidate_masks, count_candidates
 from repro.core.errors import MiningError
-from repro.core.maxpattern import FrequentOnePatterns, find_frequent_one_patterns
+from repro.core.maxpattern import (
+    FrequentOnePatterns,
+    find_frequent_one_patterns,
+    walk_frequent_one_patterns,
+)
 from repro.core.pattern import Letter, Pattern
 from repro.core.result import MiningResult, MiningStats
 from repro.encoding.codec import SegmentEncoder
@@ -44,8 +48,8 @@ def mine_single_period_apriori(
     encode:
         Default ``True`` runs the level loop on interned letter bitmasks
         over the F1 vocabulary (candidate generation and counting both);
-        ``False`` keeps the legacy ``frozenset[Letter]`` levels for
-        bisection.  Results and scan counts are identical either way —
+        ``False`` keeps the legacy ``frozenset[Letter]`` levels, with a
+        per-segment scan 1, for bisection and as an oracle.  Results and scan counts are identical either way —
         each level is still exactly one scan.
 
     Returns
@@ -57,7 +61,10 @@ def mine_single_period_apriori(
     if max_letters is not None and max_letters < 1:
         raise MiningError(f"max_letters must be >= 1, got {max_letters}")
     stats = MiningStats()
-    one_patterns = find_frequent_one_patterns(series, period, min_conf)
+    if encode:
+        one_patterns = find_frequent_one_patterns(series, period, min_conf)
+    else:
+        one_patterns = walk_frequent_one_patterns(series, period, min_conf)
     stats.scans = 1
     stats.candidate_counts[1] = len(one_patterns.letters)
 

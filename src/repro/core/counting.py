@@ -18,12 +18,16 @@ import math
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping
 from itertools import chain
+from typing import TYPE_CHECKING
 
 from repro.core.errors import MiningError
 from repro.core.pattern import Letter, Pattern
 from repro.encoding.codec import SegmentEncoder, iter_segment_letters
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.timeseries.feature_series import FeatureSeries, Segment
+
+if TYPE_CHECKING:
+    from repro.kernels.slotcodes import SegmentCodes
 
 #: Float slack used when translating a confidence threshold into an integer
 #: count threshold, guarding against representation error in products like
@@ -105,8 +109,14 @@ def count_candidates(
     mask_of = {
         candidate: vocab.encode_letters(candidate) for candidate in in_range
     }
-    mask_counts = count_candidate_masks(
-        series, period, mask_of.values(), SegmentEncoder(vocab)
+    # A per-segment encode walk, not the slot-code scans: this counter
+    # serves the letter-set oracle paths, which must not share them.
+    from repro.kernels.batched import batched_count_masks
+
+    encode = SegmentEncoder(vocab).encode_segment
+    rows = Counter(encode(segment) for segment in series.segments(period))
+    mask_counts = batched_count_masks(
+        rows.items(), list(dict.fromkeys(mask_of.values()))
     )
     for candidate in candidate_list:
         mask = mask_of.get(candidate)
@@ -217,13 +227,21 @@ def counts_to_patterns(
 
 
 def letter_counts_for_segments(
-    segments: Iterable[Segment],
+    segments: "Iterable[Segment] | SegmentCodes",
 ) -> Counter:
-    """Count each individual letter over an iterable of segments.
+    """Count each individual letter over the segments of one period.
 
-    This is the Step-1 counting kernel shared by every miner: one pass,
-    one counter bump per (offset, feature) occurrence per segment.
+    This is the Step-1 counting kernel shared by every miner: one pass
+    over the segments.  Given the slot-code matrix of a series
+    (:class:`~repro.kernels.slotcodes.SegmentCodes`) it is one
+    ``np.bincount`` over the used ``(offset, code)`` pairs; any other
+    iterable of segments gets one counter bump per ``(offset, feature)``
+    occurrence per segment — the walk the oracle paths keep.
     """
+    from repro.kernels import slotcodes
+
+    if isinstance(segments, slotcodes.SegmentCodes):
+        return segments.letter_counts()
     counts: Counter = Counter()
     for segment in segments:
         counts.update(iter_segment_letters(segment))

@@ -9,22 +9,27 @@ max-pattern ``C_max``.  Scan 2 registers, for every period segment, its hit
 max-subpattern tree.  The frequency count of every pattern is then derived
 from the tree alone (Algorithm 4.2) — no further passes over the data.
 
-Both scans run on the batched kernels by default (``kernel="batched"``):
-scan 2 encodes into a contiguous :class:`~repro.kernels.store.SegmentStore`
-and the derivation answers every candidate level from one superset-sum
-pass.  ``kernel="columnar"`` goes further: a *single* encode pass interns
-the series into the store (optionally spilling to an mmap'd on-disk file
-via :class:`~repro.kernels.store.StoreOptions`), and both scans then run
-as vectorized numpy ops over the store column — letter counting as one
+Both scans run on the series' slot-code matrix by default
+(``kernel="batched"``, :mod:`repro.kernels.slotcodes`): scan 1 is one
+``np.bincount`` over the used ``(offset, code)`` pairs, scan 2 projects
+each used pair onto the tree vocabulary once into a contiguous
+:class:`~repro.kernels.store.SegmentStore` (any vocabulary width) and
+inserts once per distinct hit, and the derivation answers every
+candidate level from one superset-sum pass.  ``kernel="columnar"`` goes
+further: a *single* encode pass interns the series into the store
+(optionally spilling to an mmap'd on-disk file via
+:class:`~repro.kernels.store.StoreOptions`), and both scans then run as
+vectorized numpy ops over the store column — letter counting as one
 unpack-and-sum pass, hit collection as chunked ``np.unique`` projected
 onto the tree vocabulary.  Vocabularies too wide to pack (> 64 letters)
-fall back to the batched path transparently.  A
-:class:`~repro.kernels.cache.CountCache` removes the scans entirely on
-re-queries of the same series/period (the paper's §4.2 re-mining
-scenario): the cached scan-1 letter counts serve any ``min_conf``, and
-the cached scan-2 hit table serves any equal-or-higher ``min_conf`` by
-projection.  ``kernel="legacy"`` keeps the original per-candidate path as
-the escape hatch and equivalence oracle.
+fall back to the batched path, counted as ``columnar_fallback`` on the
+profile.  A :class:`~repro.kernels.cache.CountCache` removes the scans
+entirely on re-queries of the same series/period (the paper's §4.2
+re-mining scenario): the cached scan-1 letter counts serve any
+``min_conf``, and the cached scan-2 hit table serves any equal-or-higher
+``min_conf`` by projection.  ``kernel="legacy"`` and ``encode=False``
+keep the original per-segment scans as the escape hatch and equivalence
+oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +44,11 @@ from repro.core.counting import (
     min_count,
 )
 from repro.core.errors import MiningError
-from repro.core.maxpattern import FrequentOnePatterns, find_frequent_one_patterns
+from repro.core.maxpattern import (
+    FrequentOnePatterns,
+    find_frequent_one_patterns,
+    walk_frequent_one_patterns,
+)
 from repro.core.pattern import Pattern
 from repro.core.result import MiningResult, MiningStats
 from repro.encoding.vocabulary import LetterVocabulary, remap_mask
@@ -106,21 +115,32 @@ class _ColumnarScan:
     kernel runs over the stored column without touching the series again.
     :meth:`count_scan` books that single pass in ``stats.scans`` exactly
     once, whichever scan triggers the build.  A vocabulary too wide to
-    pack (> 64 letters) makes :meth:`store` return ``None`` and the caller
-    falls back to the batched path.
+    pack (> 64 letters) makes :meth:`store` return ``None``, counts one
+    ``columnar_fallback`` event on the profile, and the caller falls back
+    to the batched path.
     """
 
-    __slots__ = ("series", "period", "options", "counted", "_store", "_built")
+    __slots__ = (
+        "series",
+        "period",
+        "options",
+        "profile",
+        "counted",
+        "_store",
+        "_built",
+    )
 
     def __init__(
         self,
         series: FeatureSeries,
         period: int,
         options: "StoreOptions | None",
+        profile: "MiningProfile | None" = None,
     ) -> None:
         self.series = series
         self.period = period
         self.options = options
+        self.profile = profile
         self.counted = False
         self._store: "SegmentStore | None" = None
         self._built = False
@@ -137,6 +157,8 @@ class _ColumnarScan:
                 )
             except WideVocabularyError:
                 self._store = None
+                if self.profile is not None:
+                    self.profile.count("columnar_fallback")
         return self._store
 
     def count_scan(self, stats: MiningStats) -> None:
@@ -150,6 +172,7 @@ def _scan1(
     series: FeatureSeries,
     period: int,
     min_conf: float,
+    legacy: bool,
     cstate: "_ColumnarScan | None",
     cache: "CountCache | None",
     cache_key: object,
@@ -159,7 +182,8 @@ def _scan1(
     """Scan 1, consulting the count cache for the full letter counts.
 
     Without a cache or columnar state this is
-    :func:`find_frequent_one_patterns` verbatim.  With a cache, the
+    :func:`find_frequent_one_patterns` verbatim (its per-segment walk
+    :func:`walk_frequent_one_patterns` when ``legacy``).  With a cache, the
     *unfiltered* letter counts are fetched or computed and stored, so a
     future re-query at any ``min_conf`` rebuilds its own F1 from the
     cached counts without a scan.  With columnar state, the counts come
@@ -167,8 +191,9 @@ def _scan1(
     full counts, so they remain cache-compatible with the other kernels.
     """
     if cache is None and cstate is None:
+        find = walk_frequent_one_patterns if legacy else find_frequent_one_patterns
         with _stage(profile, "scan1"):
-            one_patterns = find_frequent_one_patterns(series, period, min_conf)
+            one_patterns = find(series, period, min_conf)
         stats.scans += 1
         if profile is not None:
             profile.add_items("scan1", one_patterns.num_periods)
@@ -195,8 +220,10 @@ def _scan1(
                 letter_counts = store.letter_counts()
                 cstate.count_scan(stats)
             else:
+                from repro.kernels.slotcodes import SegmentCodes
+
                 letter_counts = letter_counts_for_segments(
-                    series.segments(period)
+                    SegmentCodes.of(series, period)
                 )
                 stats.scans += 1
         if cache is not None:
@@ -306,14 +333,16 @@ def mine_single_period_hitset(
         frequent set is exponential on degenerate inputs; cap it when only
         short patterns are needed.  ``None`` derives everything.
     encode:
-        Default ``True`` runs scan 2 on the encoded hot path — one bitmask
-        per segment, one tree insertion per *distinct* hit.  ``False``
-        keeps the legacy per-segment letter-set insertion (the CLI's
-        ``--no-encode`` escape hatch for bisecting regressions).  Results
-        are identical either way; still exactly two scans.
+        Default ``True`` runs both scans on the encoded hot path — one
+        bitmask per segment, one tree insertion per *distinct* hit.
+        ``False`` keeps the legacy per-segment letter walk in scan 1 and
+        letter-set insertion in scan 2 (the CLI's ``--no-encode`` escape
+        hatch for bisecting regressions).  Results are identical either
+        way; still exactly two scans.
     kernel:
-        ``"batched"`` (default) runs scan 2 on the contiguous segment
-        store and the derivation on the single-pass superset-sum kernel;
+        ``"batched"`` (default) runs both scans on the slot-code matrix
+        (scan 2 into the contiguous segment store) and the derivation on
+        the single-pass superset-sum kernel;
         ``"columnar"`` interns the series into the store in one pass and
         runs both scans as vectorized numpy ops over the column (falling
         back to batched when the vocabulary exceeds 64 letters);
@@ -346,15 +375,17 @@ def mine_single_period_hitset(
     _check_kernel(kernel)
     cstate: _ColumnarScan | None = None
     if kernel == "columnar" and encode:
-        cstate = _ColumnarScan(series, period, store)
+        cstate = _ColumnarScan(series, period, store, profile)
     elif store is not None:
         raise MiningError(
             "store options require kernel='columnar' with encode=True"
         )
     stats = MiningStats()
     cache_key = cache.key_for(series, period) if cache is not None else None
+    legacy = kernel == "legacy" or not encode
     one_patterns = _scan1(
-        series, period, min_conf, cstate, cache, cache_key, profile, stats
+        series, period, min_conf, legacy, cstate, cache, cache_key, profile,
+        stats,
     )
     if one_patterns.is_empty:
         return MiningResult(
@@ -422,7 +453,10 @@ def build_hit_tree(
     :func:`mine_single_period_hitset`.
     """
     _check_kernel(kernel)
-    one_patterns = find_frequent_one_patterns(series, period, min_conf)
+    if kernel == "legacy" or not encode:
+        one_patterns = walk_frequent_one_patterns(series, period, min_conf)
+    else:
+        one_patterns = find_frequent_one_patterns(series, period, min_conf)
     stats = MiningStats(scans=1)
     cstate: _ColumnarScan | None = None
     if kernel == "columnar" and encode:

@@ -77,15 +77,44 @@ def find_frequent_one_patterns(
 ) -> FrequentOnePatterns:
     """One scan over the series: count every letter, keep the frequent ones.
 
-    This is Step 1 of Algorithm 3.1 (and of Algorithm 3.2, which shares it).
+    This is Step 1 of Algorithm 3.1 (and of Algorithm 3.2, which shares it),
+    counted over the series' slot-code matrix
+    (:class:`~repro.kernels.slotcodes.SegmentCodes`).
     """
+    return _frequent_ones(series, period, min_conf, walk=False)
+
+
+def walk_frequent_one_patterns(
+    series: FeatureSeries,
+    period: int,
+    min_conf: float,
+) -> FrequentOnePatterns:
+    """:func:`find_frequent_one_patterns` by a per-segment letter walk.
+
+    The scan 1 of the letter-set oracle paths (``encode=False``, the
+    legacy kernel): it shares no code with the slot-code scans, so the
+    oracles stay independent of them.
+    """
+    return _frequent_ones(series, period, min_conf, walk=True)
+
+
+def _frequent_ones(
+    series: FeatureSeries, period: int, min_conf: float, walk: bool
+) -> FrequentOnePatterns:
     num_periods = series.num_periods(period)
     if num_periods == 0:
         raise MiningError(
             f"series of length {len(series)} has no whole period of {period}"
         )
     threshold = min_count(min_conf, num_periods)
-    letter_counts = letter_counts_for_segments(series.segments(period))
+    if walk:
+        letter_counts = letter_counts_for_segments(series.segments(period))
+    else:
+        from repro.kernels.slotcodes import SegmentCodes
+
+        letter_counts = letter_counts_for_segments(
+            SegmentCodes.of(series, period)
+        )
     frequent = frequent_letter_set(letter_counts, threshold)
     return FrequentOnePatterns(
         period=period,

@@ -1,4 +1,4 @@
-"""Coverage-guided differential fuzzer for the counting kernels.
+"""Coverage-guided differential fuzzer for the counting kernels and loader.
 
 The columnar tier re-implements both scans of the hit-set method as
 vectorized array ops, and the only acceptable difference from the
@@ -9,11 +9,25 @@ checked against a brute-force oracle that enumerates every subset of the
 frequent-1 letters and counts it by definition, with no shared code
 beyond the series itself.
 
+The default kernel runs both scans on the slot-code matrix
+(:mod:`repro.kernels.slotcodes`) and the legacy kernel walks the
+segments letter by letter, so the tier comparison also pins the
+slot-code scans to a walk that shares no code with them.
+
 A second, kernel-level stage compares the store primitives directly
 (``distinct_counts`` / ``letter_counts`` / ``hit_counter`` /
 ``count_masks`` / the per-letter bitmap index) against naive
 pure-Python recomputations, so a bug that happens to cancel out in the
 end-to-end result is still caught at the primitive it lives in.
+
+A third stage fuzzes the series loader's input edges: every case also
+writes a random byte file (CRLF and lone ``\r``, invalid UTF-8, ``*`` and
+control bytes, comments, whitespace-only lines, a BOM, ``\x0b``/``\x1c``/
+``\u2028``, a missing final newline, lines longer than the read block)
+and :func:`~repro.timeseries.io.load_series` must agree with the per-line
+reference ``FeatureSeries(iter_slot_lines(...))``: the same slots or the
+same :class:`~repro.core.errors.SeriesError` text, and under
+``strict=False`` an identical :class:`~repro.timeseries.io.LoadReport`.
 
 Coverage guidance is structural, not line-based: every executed case is
 reduced to a small signature (period, vocabulary width, frequent-set
@@ -24,9 +38,12 @@ frequent sets, dense distinct tables) instead of re-rolling the same
 easy cases.
 
 The fuzzer's own alarm is tested by :func:`mutation_check`: it injects
-known bugs into :mod:`repro.kernels.columnar` (a dropped distinct row,
-an off-by-one letter count, a corrupted candidate count, a lying bitmap
-index) and demands the fuzzer report a divergence for every one.  A
+known bugs — into :mod:`repro.kernels.columnar` (a dropped distinct row,
+an off-by-one letter count, a corrupted candidate count, a lying hit
+counter), into the slot-code scan 2 (a dropped projected
+``(offset, code)`` pair) and into the loader (a block reader that skips
+the control-character fallback) — and demands the fuzzer report a
+divergence for every one.  A
 clean run proves little if the alarm cannot ring.
 
 CLI: ``ppm fuzz`` (see :func:`repro.cli.main`); CI runs a short-budget
@@ -36,11 +53,17 @@ smoke plus the mutation check.
 from __future__ import annotations
 
 import random
+import re
+import tempfile
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from pathlib import Path
+from types import ModuleType
+from typing import Any
 
 from repro.core.counting import min_count
+from repro.core.errors import SeriesError
 from repro.core.hitset import mine_single_period_hitset
 from repro.core.pattern import Letter
 from repro.timeseries.feature_series import FeatureSeries
@@ -272,6 +295,112 @@ def _diff_maps(
 
 
 # ----------------------------------------------------------------------
+# The loader's input edges
+# ----------------------------------------------------------------------
+
+#: Byte tokens a fuzzed series line is assembled from: plain features
+#: plus every input edge the block reader must hand to the per-line path
+#: or read exactly as it does.
+_LINE_TOKENS: tuple[bytes, ...] = (
+    b"a", b"b", b"f1", b"f2", b"caf\xc3\xa9", b"#x", b"a#",
+    b" ", b"  ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1f",
+    b"\xe2\x80\xa8", b"\xc2\x85", b"\xef\xbb\xbf",
+    b"*", b"\x00", b"\x01", b"\x1b", b"\x7f",
+    b"\xff", b"\xc3", b"\xed\xa0\x80",
+)
+
+#: Line endings, including a stray ``\r`` before the newline.
+_LINE_ENDS: tuple[bytes, ...] = (b"\n", b"\n", b"\n", b"\r\n", b"\r\r\n")
+
+
+def random_series_bytes(rng: random.Random) -> bytes:
+    """A random series file built from the loader's edge tokens.
+
+    Most lines are plain, so the block reader's fast path runs often;
+    the rest mix in one edge token each.  Lines may be comments, blank or
+    very long, and the file may lack its final newline.
+    """
+    lines: list[bytes] = []
+    for _ in range(rng.randint(0, 24)):
+        shape = rng.random()
+        if shape < 0.1:
+            line = b"# " + rng.choice(_LINE_TOKENS)
+        elif shape < 0.2:
+            line = b"".join(rng.choice((b"", b" ", b"\t")) for _ in range(3))
+        elif shape < 0.25:
+            line = b" ".join([rng.choice((b"a", b"b", b"f1"))] * rng.randint(40, 400))
+        else:
+            tokens = [rng.choice(_LINE_TOKENS[:4]) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(_LINE_TOKENS))
+            line = b" ".join(tokens)
+        lines.append(line + rng.choice(_LINE_ENDS))
+    data = b"".join(lines)
+    if data and rng.random() < 0.3:
+        data = data.rstrip(b"\n")
+    return data
+
+
+def _loaded(load: Callable[[], FeatureSeries]) -> tuple[str, Any]:
+    """``("slots", slots)`` or ``("error", text)`` for one load call."""
+    try:
+        series = load()
+    except SeriesError as error:
+        return "error", str(error)
+    return "slots", series.slots
+
+
+def _check_loader(case: FuzzCase, divergences: list[Divergence]) -> str:
+    """Load one random file both ways; returns its coverage outcome."""
+    from repro.timeseries import io
+
+    rng = random.Random(case.seed ^ 0x10AD)
+    block = rng.choice((1, 7, 64, io.READ_BLOCK_BYTES))
+    with tempfile.TemporaryDirectory(prefix="ppm-fuzz-") as scratch:
+        path = Path(scratch) / "series.txt"
+        path.write_bytes(random_series_bytes(rng))
+        default_block = io.READ_BLOCK_BYTES
+        io.READ_BLOCK_BYTES = block
+        try:
+            got = _loaded(lambda: io.load_series(path))
+            got_report = io.LoadReport()
+            lenient = io.load_series(path, strict=False, report=got_report)
+        finally:
+            io.READ_BLOCK_BYTES = default_block
+        want = _loaded(lambda: FeatureSeries(io.iter_slot_lines(path)))
+        want_report = io.LoadReport()
+        reference = FeatureSeries(
+            io.iter_slot_lines(path, strict=False, report=want_report)
+        )
+    if got != want:
+        divergences.append(
+            Divergence(
+                case,
+                stage="load:strict",
+                detail=f"block {block}: {got[0]} vs reference {want[0]}",
+            )
+        )
+    if lenient.slots != reference.slots or got_report != want_report:
+        divergences.append(
+            Divergence(
+                case,
+                stage="load:lenient",
+                detail=(
+                    f"block {block}: {len(lenient)} slots / "
+                    f"{len(got_report.quarantined)} quarantined vs "
+                    f"{len(reference)} / {len(want_report.quarantined)}"
+                ),
+            )
+        )
+    view = lenient.slot_codes()
+    if tuple(view.distinct[code] for code in view.codes) != lenient.slots:
+        divergences.append(
+            Divergence(case, stage="load:slot-codes", detail=f"block {block}")
+        )
+    return want[0] if want_report.clean else "quarantined"
+
+
+# ----------------------------------------------------------------------
 # One case, end to end
 # ----------------------------------------------------------------------
 
@@ -332,12 +461,14 @@ def run_case(case: FuzzCase) -> tuple[list[Divergence], tuple[Any, ...]]:
         )
 
     wide, signature_bits = _check_primitives(case, series, divergences)
+    loaded = _check_loader(case, divergences)
     signature = (
         case.period,
         wide,
         _bucket(len(reference)),
         not reference,
         signature_bits,
+        loaded,
     )
     return divergences, signature
 
@@ -500,14 +631,16 @@ def fuzz(budget: int, seed: int = 0) -> FuzzReport:
 # ----------------------------------------------------------------------
 
 
-def _mutation_targets() -> dict[str, tuple[str, Callable[..., Any]]]:
-    """Named bugs to inject: columnar attribute -> corrupted wrapper."""
-    from repro.kernels import columnar
+def _mutation_targets() -> dict[str, tuple[ModuleType, str, Any]]:
+    """Named bugs to inject: ``(module, attribute, corrupted replacement)``."""
+    from repro.kernels import columnar, slotcodes
+    from repro.timeseries import io
 
     original_distinct = columnar.distinct_counts
     original_letters = columnar.letter_bit_totals
     original_counts = columnar.count_masks
     original_hits = columnar.hit_counter
+    original_project = slotcodes.project_pairs
 
     def dropped_distinct_row(column: Any) -> Counter:
         counts = Counter(original_distinct(column))
@@ -536,29 +669,45 @@ def _mutation_targets() -> dict[str, tuple[str, Callable[..., Any]]]:
             break
         return counts
 
+    def dropped_pair(*args: Any) -> Any:
+        projected = original_project(*args)
+        for row in range(len(projected)):
+            if projected[row].any():
+                projected[row] = 0
+                break
+        return projected
+
     return {
-        "dropped-distinct-row": ("distinct_counts", dropped_distinct_row),
-        "off-by-one-letter-count": ("letter_bit_totals", off_by_one_letter),
-        "corrupted-candidate-count": ("count_masks", corrupted_candidate),
-        "lying-hit-counter": ("hit_counter", lying_hits),
+        "dropped-distinct-row": (columnar, "distinct_counts", dropped_distinct_row),
+        "off-by-one-letter-count": (
+            columnar, "letter_bit_totals", off_by_one_letter,
+        ),
+        "corrupted-candidate-count": (
+            columnar, "count_masks", corrupted_candidate,
+        ),
+        "lying-hit-counter": (columnar, "hit_counter", lying_hits),
+        "dropped-projected-pair": (slotcodes, "project_pairs", dropped_pair),
+        # Only the wildcard forces the per-line path: control bytes slip
+        # through the block reader into features.
+        "skipped-control-fallback": (
+            io, "_UNSAFE_BYTES", re.compile(rb"[*]"),
+        ),
     }
 
 
 def mutation_check(budget: int = 40, seed: int = 0) -> dict[str, bool]:
-    """Inject each known kernel bug; report which ones the fuzzer caught.
+    """Inject each known bug; report which ones the fuzzer caught.
 
     Every value in the returned mapping must be ``True`` for the fuzzer's
     alarm to be trusted; CI asserts exactly that.
     """
-    from repro.kernels import columnar
-
     caught: dict[str, bool] = {}
-    for name, (attribute, corrupted) in _mutation_targets().items():
-        original = getattr(columnar, attribute)
-        setattr(columnar, attribute, corrupted)
+    for name, (module, attribute, corrupted) in _mutation_targets().items():
+        original = getattr(module, attribute)
+        setattr(module, attribute, corrupted)
         try:
             report = fuzz(budget, seed=seed)
         finally:
-            setattr(columnar, attribute, original)
+            setattr(module, attribute, original)
         caught[name] = not report.ok
     return caught

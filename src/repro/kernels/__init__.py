@@ -5,6 +5,11 @@ The performance layer under every miner:
 * :mod:`~repro.kernels.batched` — single-pass candidate counting: the
   dense superset-sum table and the sparse projection kernel that replace
   the legacy per-candidate walks of Algorithm 4.2;
+* :mod:`~repro.kernels.slotcodes` — the default path's two scans over
+  a series' slot-code matrix (distinct slots plus one int32 code per
+  slot): scan 1 as one ``np.bincount`` over used ``(offset, code)``
+  pairs, scan 2 as each used pair projected once onto the tree
+  vocabulary, at any vocabulary width;
 * :mod:`~repro.kernels.columnar` — the vectorized scan tier
   (``kernel="columnar"``): the store buffer viewed as a numpy ``uint64``
   column, scan 1 as one unpack-and-sum pass, scan 2 as chunked

@@ -47,10 +47,11 @@ import numpy as np
 
 from repro.core.errors import EncodingError
 from repro.core.pattern import Letter
-from repro.encoding.codec import SegmentEncoder, iter_segment_letters
+from repro.encoding.codec import iter_segment_letters
 from repro.encoding.vocabulary import LetterVocabulary
 from repro.kernels import columnar as _columnar
 from repro.kernels.batched import batched_count_masks
+from repro.kernels.slotcodes import SegmentCodes, mask_values
 from repro.timeseries.feature_series import FeatureSeries
 
 #: Vocabulary widths up to this many letters pack into an ``array('Q')``;
@@ -179,23 +180,41 @@ class SegmentStore:
         With an explicit vocabulary (the usual case: the sorted ``C_max``
         letters) this is exactly one scan and letters outside the
         vocabulary are dropped — encoding *is* the hit projection.  Without
-        one, the full sorted vocabulary of the series is built first (one
-        extra pass).
+        one, the full sorted vocabulary of the series is read off the same
+        scan first.  The scan runs on the series' slot-code matrix
+        (:class:`~repro.kernels.slotcodes.SegmentCodes`): each used
+        ``(offset, code)`` pair is projected once, whatever the
+        vocabulary width; wide stores are grouped with ``np.unique``
+        right away, which primes :meth:`distinct_counts`.
 
         ``options`` makes the build out-of-core: past the spill threshold
         the masks stream to disk and the store comes back mmap-backed.
         Wide (>64-letter) vocabularies have no fixed-width on-disk format,
         so they ignore ``options`` and stay in memory.
         """
+        codes = SegmentCodes.of(series, period)
         if vocab is None:
-            from repro.encoding.codec import vocabulary_of_series
-
-            vocab = vocabulary_of_series(series, period)
-        encoder = SegmentEncoder(vocab, period)
-        encode = encoder.encode_segment
-        masks = (encode(segment) for segment in series.segments(period))
-        if options is None or len(vocab) > PACKED_MAX_BITS:
-            return cls(vocab, period, masks)
+            vocab = LetterVocabulary.from_letters(
+                codes.letter_counts(), period=period
+            )
+        rows = codes.masks(vocab)
+        if len(vocab) > PACKED_MAX_BITS:
+            distinct, inverse, counts = np.unique(
+                rows, axis=0, return_inverse=True, return_counts=True
+            )
+            values = mask_values(distinct)
+            store = cls(
+                vocab,
+                period,
+                [values[index] for index in inverse.reshape(-1).tolist()],
+                _prebuilt=True,
+            )
+            store._distinct = Counter(dict(zip(values, counts.tolist())))
+            return store
+        masks = array("Q")
+        masks.frombytes(_columnar.as_uint64(rows[:, 0]).tobytes())
+        if options is None:
+            return cls(vocab, period, masks, _prebuilt=True)
         return cls._materialize(
             vocab, period, masks, options, cls._spill_name(series, period, options)
         )

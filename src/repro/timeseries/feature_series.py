@@ -13,6 +13,7 @@ Derivation of a feature series from raw inputs lives in the sibling modules
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING, Union, cast, overload
 
@@ -27,6 +28,36 @@ SlotLike = Union[str, None, Iterable[str]]
 
 #: One period segment: a tuple of ``period`` feature sets.
 Segment = tuple[frozenset[str], ...]
+
+
+class SlotCodes:
+    """A series as its distinct slots plus one int32 code per slot.
+
+    ``distinct[codes[i]]`` is slot ``i``.  Real series repeat a small set
+    of slot contents many times over, so scans that work on codes touch
+    each distinct slot once instead of once per occurrence (see
+    :mod:`repro.kernels.slotcodes`).
+
+    >>> view = SlotCodes.from_slots(FeatureSeries.from_symbols("abab"))
+    >>> list(view.codes), len(view.distinct)
+    ([0, 1, 0, 1], 2)
+    """
+
+    __slots__ = ("distinct", "codes")
+
+    def __init__(
+        self, distinct: tuple[frozenset[str], ...], codes: "array[int]"
+    ) -> None:
+        self.distinct = distinct
+        #: ``array('i')`` of codes into :attr:`distinct`, one per slot.
+        self.codes = codes
+
+    @classmethod
+    def from_slots(cls, slots: Iterable[frozenset[str]]) -> "SlotCodes":
+        """Intern slots in arrival order: one pass, one dict probe each."""
+        index: dict[frozenset[str], int] = {}
+        codes = array("i", [index.setdefault(slot, len(index)) for slot in slots])
+        return cls(tuple(index), codes)
 
 
 def _normalize_slot(value: SlotLike) -> frozenset[str]:
@@ -66,13 +97,14 @@ class FeatureSeries:
     (frozenset({'a'}), frozenset({'b'}), frozenset({'c'}))
     """
 
-    __slots__ = ("_slots", "_digest")
+    __slots__ = ("_slots", "_digest", "_codes")
 
     def __init__(self, slots: Iterable[SlotLike]):
         self._slots: tuple[frozenset[str], ...] = tuple(
             _normalize_slot(value) for value in slots
         )
         self._digest: str | None = None
+        self._codes: SlotCodes | None = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -93,16 +125,21 @@ class FeatureSeries:
 
     @classmethod
     def _from_normalized(
-        cls, slots: tuple[frozenset[str], ...]
+        cls,
+        slots: tuple[frozenset[str], ...],
+        codes: SlotCodes | None = None,
     ) -> "FeatureSeries":
         """Wrap already-normalized slots without re-validating them.
 
-        Internal fast path used by slicing and pickling, where the slots
-        are known to be exactly the tuple-of-frozensets representation.
+        Internal fast path used by pickling and the series loader, where
+        the slots are known to be exactly the tuple-of-frozensets
+        representation; the loader also hands over the slot-code view it
+        interned while reading.
         """
         series = cls.__new__(cls)
         series._slots = slots
         series._digest = None
+        series._codes = codes
         return series
 
     def __reduce__(
@@ -129,6 +166,16 @@ class FeatureSeries:
         """The set of all features occurring anywhere in the series."""
         return frozenset(feature for slot in self._slots for feature in slot)
 
+    def slot_codes(self) -> SlotCodes:
+        """The slot-code view of this series, computed once.
+
+        A series read by :func:`repro.timeseries.io.load_series` already
+        carries it; any other series interns its slots on first use.
+        """
+        if self._codes is None:
+            self._codes = SlotCodes.from_slots(self._slots)
+        return self._codes
+
     def content_digest(self) -> str:
         """A stable short digest of the series content, computed once.
 
@@ -143,12 +190,15 @@ class FeatureSeries:
             import hashlib
 
             digest = hashlib.sha256()
-            slots = self._slots
-            # Chunked updates: one join + encode per block beats two
-            # digest.update calls per slot by a wide margin.
-            for start in range(0, len(slots), 8192):
-                block = slots[start : start + 8192]
-                text = "\n".join(" ".join(sorted(slot)) for slot in block)
+            view = self.slot_codes()
+            # Render each distinct slot once, then hash in chunks: one
+            # join + encode per block beats two digest.update calls per
+            # slot by a wide margin.
+            lines = [" ".join(sorted(slot)) for slot in view.distinct]
+            codes = view.codes
+            for start in range(0, len(codes), 8192):
+                block = codes[start : start + 8192]
+                text = "\n".join(map(lines.__getitem__, block))
                 digest.update(text.encode("utf-8"))
                 digest.update(b"\n")
             self._digest = digest.hexdigest()[:16]

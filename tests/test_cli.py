@@ -103,6 +103,28 @@ class TestMine:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_is_clean_error(self, tmp_path, capsys):
+        code = main(["mine", str(tmp_path), "--period", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read series file {tmp_path}: ")
+        assert "Traceback" not in err
+
+    def test_profile_counts_columnar_fallback(self, tmp_path, capsys):
+        # 70 distinct features at one offset: too wide for a packed column.
+        path = tmp_path / "wide.txt"
+        save_series(FeatureSeries([f"f{i % 70}" for i in range(140)]), path)
+        profile_path = tmp_path / "profile.json"
+        code = main(
+            [
+                "mine", str(path), "--period", "1", "--min-conf", "0.01",
+                "--kernel", "columnar", "--profile-json", str(profile_path),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(profile_path.read_text())
+        assert payload["counters"]["columnar_fallback"] == 1
+
     def test_limit_zero_prints_summary_only(self, series_file, capsys):
         code = main(["mine", str(series_file), "--period", "7", "--limit", "0"])
         assert code == 0

@@ -26,6 +26,7 @@ MODULES = [
     "repro.encoding",
     "repro.encoding.codec",
     "repro.encoding.vocabulary",
+    "repro.kernels.slotcodes",
     "repro.serve.deadline",
     "repro.timeseries.calendar",
     "repro.timeseries.discretize",

@@ -1,6 +1,7 @@
 """Tests for the differential kernel fuzzer (repro.devtools.fuzz).
 
-The fuzzer guards the columnar tier's exactness claim, so these tests
+The fuzzer guards the kernel tiers' and the series loader's exactness
+claims, so these tests
 pin three properties: a clean tree produces zero divergences over a CI
 budget, the whole run is deterministic in its seed, and — the part that
 makes the first property meaningful — every injected kernel bug is
@@ -10,6 +11,7 @@ caught (the alarm rings).
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -82,35 +84,34 @@ class TestOracle:
 class TestMutationCheck:
     def test_all_injected_bugs_caught(self):
         caught = mutation_check(budget=30, seed=4)
-        assert len(caught) == 4
+        assert len(caught) == 6
         assert all(caught.values()), caught
 
     def test_mutations_are_restored_after_check(self):
-        from repro.kernels import columnar
+        from repro.kernels import columnar, slotcodes
+        from repro.timeseries import io
 
-        before = {
-            name: getattr(columnar, name)
-            for name in (
-                "distinct_counts", "letter_bit_totals",
-                "count_masks", "hit_counter",
-            )
-        }
+        targets = [
+            (columnar, "distinct_counts"), (columnar, "letter_bit_totals"),
+            (columnar, "count_masks"), (columnar, "hit_counter"),
+            (slotcodes, "project_pairs"), (io, "_UNSAFE_BYTES"),
+            (io, "READ_BLOCK_BYTES"),
+        ]
+        before = [getattr(module, name) for module, name in targets]
         mutation_check(budget=5, seed=0)
-        for name, attr in before.items():
-            assert getattr(columnar, name) is attr
+        for (module, name), attr in zip(targets, before):
+            assert getattr(module, name) is attr
 
     def test_single_injected_bug_produces_divergence(self):
         original = fuzz_mod._mutation_targets  # sanity on one target
         targets = original()
-        attribute, corrupted = targets["dropped-distinct-row"]
-        from repro.kernels import columnar
-
-        pristine = getattr(columnar, attribute)
-        setattr(columnar, attribute, corrupted)
+        module, attribute, corrupted = targets["dropped-distinct-row"]
+        pristine = getattr(module, attribute)
+        setattr(module, attribute, corrupted)
         try:
             report = fuzz(25, seed=6)
         finally:
-            setattr(columnar, attribute, pristine)
+            setattr(module, attribute, pristine)
         assert not report.ok
         stages = Counter(d.stage for d in report.divergences)
         assert stages  # at least one stage noticed
@@ -120,3 +121,24 @@ class TestBudgetShape:
     @pytest.mark.parametrize("budget", (1, 7))
     def test_budget_respected(self, budget):
         assert fuzz(budget, seed=2).executed == budget
+
+
+class TestLoaderStage:
+    def test_random_files_cover_the_input_edges(self):
+        rng = random.Random(7)
+        blob = b"".join(fuzz_mod.random_series_bytes(rng) for _ in range(200))
+        for edge in (
+            b"\r\n", b"\r\r\n", b"\xff", b"*", b"\x01", b"\x7f", b"# ",
+            b"\xef\xbb\xbf", b"\x0b", b"\x1c", b"\xe2\x80\xa8",
+        ):
+            assert edge in blob, edge
+        assert any(
+            len(line) > 64 for line in blob.split(b"\n")
+        ), "no line longer than the smallest fuzzed read block"
+
+    def test_loader_divergence_is_reported(self, monkeypatch):
+        from repro.timeseries import io
+
+        monkeypatch.setattr(io, "_UNSAFE_BYTES", re.compile(rb"[*]"))
+        report = fuzz(30, seed=4)
+        assert any(d.stage.startswith("load:") for d in report.divergences)

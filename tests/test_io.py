@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import SeriesError
+from repro.timeseries import io
 from repro.timeseries.feature_series import FeatureSeries
-from repro.timeseries.io import iter_slot_lines, load_series, save_series
+from repro.timeseries.io import (
+    LoadReport,
+    iter_slot_lines,
+    load_series,
+    save_series,
+)
 
 
 class TestRoundtrip:
@@ -194,3 +205,129 @@ class TestMalformedLines:
         path.write_bytes(b"a\r\nb\r\n")
         series = load_series(path)
         assert [set(slot) for slot in series] == [{"a"}, {"b"}]
+
+
+class TestSaveRefusesLossyWrites:
+    """save_series raises instead of writing a file that reloads differently."""
+
+    @pytest.mark.parametrize(
+        "feature", ["#x", "a b", "a\x0bb", "x\u2028y", "a\nb", "a*", "\x01"]
+    )
+    def test_unsaveable_feature_names_slot_and_feature(self, tmp_path, feature):
+        series = FeatureSeries([{"ok"}, {feature}])
+        path = tmp_path / "series.txt"
+        with pytest.raises(SeriesError, match=r"slot 1: .*") as raised:
+            save_series(series, path)
+        assert repr(feature) in str(raised.value)
+        assert not path.exists()
+
+    def test_hash_feature_after_first_is_saved(self, tmp_path):
+        # "! #x" does not start with '#', so it reloads intact.
+        series = FeatureSeries([{"!", "#x"}])
+        path = tmp_path / "series.txt"
+        save_series(series, path)
+        assert load_series(path) == series
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        slots=st.lists(
+            st.sets(st.text(min_size=1, max_size=4), max_size=3), max_size=8
+        )
+    )
+    def test_save_raises_or_round_trips(self, tmp_path, slots):
+        series = FeatureSeries(slots)
+        path = tmp_path / "roundtrip.txt"
+        try:
+            save_series(series, path)
+        except SeriesError:
+            return
+        assert load_series(path) == series
+
+
+class TestUnreadableFile:
+    def test_directory_is_a_series_error(self, tmp_path):
+        with pytest.raises(
+            SeriesError, match=r"cannot read series file .*: Is a directory"
+        ):
+            load_series(tmp_path)
+
+    def test_iterator_wraps_directory_too(self, tmp_path):
+        with pytest.raises(SeriesError, match=r"cannot read series file"):
+            list(iter_slot_lines(tmp_path))
+
+    @pytest.mark.skipif(
+        not hasattr(os, "geteuid") or os.geteuid() == 0,
+        reason="root reads files regardless of their mode",
+    )
+    def test_permission_denied_is_a_series_error(self, tmp_path):
+        path = tmp_path / "locked.txt"
+        path.write_text("a\n")
+        path.chmod(0)
+        with pytest.raises(SeriesError, match=r"cannot read series file"):
+            load_series(path)
+
+
+#: Files whose block read must equal the per-line read, slot for slot.
+EDGE_FILES = {
+    "crlf": b"a b\r\nc\r\n\r\n",
+    "lone-cr": b"a\rb\n\r\nc\r\r\n",
+    "no-final-newline": b"a\nb c",
+    "comments-and-blanks": b"# h\n  \n\t\n#\n x #y\n",
+    "bom": b"\xef\xbb\xbfa b\n\xef\xbb\xbf# not a comment\n",
+    "split-whitespace": b"a\x0bb\x1cc\n\xe2\x80\xa8d\xc2\x85e\x0c\n",
+    "non-ascii": "caf\u00e9 na\u00efve\n\u00e9\n".encode(),
+    "long-line": b" ".join([b"f1", b"f2"] * 5000) + b"\n" + b"z\n",
+    "bad-utf8": b"a\n\xff\nb\n",
+    "wildcard": b"a\n#*\nb*\n",
+    "control": b"a\n\x01b\n\x7f\nc\x1b\n",
+    "empty": b"",
+}
+
+
+class TestBlockReader:
+    """load_series equals FeatureSeries(iter_slot_lines(...)) on every edge."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_FILES))
+    @pytest.mark.parametrize("block", [1, 5, 64, io.READ_BLOCK_BYTES])
+    def test_matches_line_reader(self, tmp_path, monkeypatch, name, block):
+        monkeypatch.setattr(io, "READ_BLOCK_BYTES", block)
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(EDGE_FILES[name])
+        try:
+            want = FeatureSeries(iter_slot_lines(path))
+        except SeriesError as error:
+            with pytest.raises(SeriesError) as raised:
+                load_series(path)
+            assert str(raised.value) == str(error)
+        else:
+            got = load_series(path)
+            assert got.slots == want.slots
+            view = got.slot_codes()
+            assert tuple(view.distinct[c] for c in view.codes) == got.slots
+        want_report, got_report = LoadReport(), LoadReport()
+        want = FeatureSeries(
+            iter_slot_lines(path, strict=False, report=want_report)
+        )
+        got = load_series(path, strict=False, report=got_report)
+        assert got.slots == want.slots
+        assert got_report == want_report
+
+    def test_repeated_lines_share_one_slot_object(self, tmp_path):
+        path = tmp_path / "series.txt"
+        path.write_bytes(b"a b\nb a\nc\na b\n")
+        series = load_series(path)
+        assert series[0] is series[1] is series[3]
+        view = series.slot_codes()
+        assert list(view.codes) == [0, 0, 1, 0]
+        assert view.distinct == (frozenset({"a", "b"}), frozenset({"c"}))
+
+    def test_control_byte_falls_back_to_line_reader(self, tmp_path):
+        path = tmp_path / "series.txt"
+        path.write_bytes(b"a\n" * 10 + b"b\x02\n")
+        assert io._load_interned(Path(path), io.READ_BLOCK_BYTES) is None
+        with pytest.raises(SeriesError, match=r"series\.txt:11: .*control"):
+            load_series(path)

@@ -334,7 +334,8 @@ class TestMetamorphicRelations:
     """Relations between mining results on related series.
 
     Frequency counts are sums over whole period segments (paper §2), so
-    reordering or repeating segments transforms every count predictably.
+    reordering, repeating, renaming or extending segments transforms
+    every count predictably.
     Each relation is checked on both the serial hit-set miner and the
     brute-force oracle, which share no counting code.
     """
@@ -379,6 +380,57 @@ class TestMetamorphicRelations:
             mined = mine_single_period_hitset(doubled, period, conf)
             assert mined.num_periods == 2 * base.num_periods(period)
             assert dict(mined.items()) == expected
+
+    def test_renaming_features_maps_the_frequent_set(self):
+        rng = random.Random(0x2E4A)
+        for _ in range(self.TRIALS):
+            series, period, conf = self._draw(rng)
+            names = ["w", "x", "long_feature", "z9"]
+            rng.shuffle(names)
+            rename = dict(zip("abcd", names))
+            renamed = FeatureSeries(
+                {rename[feature] for feature in slot} for slot in series
+            )
+
+            def mapped(counts: dict) -> dict:
+                return {
+                    Pattern.from_letters(
+                        period,
+                        ((offset, rename[feature]) for offset, feature in pattern.letters),
+                    ): count
+                    for pattern, count in counts.items()
+                }
+
+            expected = mapped(brute_force_frequent(series, period, conf))
+            assert brute_force_frequent(renamed, period, conf) == expected
+            mined = mine_single_period_hitset(renamed, period, conf)
+            assert dict(mined.items()) == expected
+
+    def test_appending_an_all_f1_segment_adds_one_to_every_count(self):
+        rng = random.Random(0xA11F)
+        for _ in range(self.TRIALS):
+            series, period, conf = self._draw(rng)
+            whole = [slot for seg in _whole_segments(series, period) for slot in seg]
+            base = FeatureSeries(whole)
+            frequent = brute_force_frequent(base, period, conf)
+            f1 = {
+                letter
+                for pattern in frequent
+                if len(pattern.letters) == 1
+                for letter in pattern.letters
+            }
+            extra = [
+                {feature for offset, feature in f1 if offset == position}
+                | ({"noise"} if rng.random() < 0.3 else set())
+                for position in range(period)
+            ]
+            extended = FeatureSeries(whole + extra)
+            oracle = brute_force_frequent(extended, period, conf)
+            mined = dict(mine_single_period_hitset(extended, period, conf).items())
+            for pattern, count in frequent.items():
+                assert oracle[pattern] == count + 1
+                assert mined[pattern] == count + 1
+            assert mined == oracle
 
     def test_raising_min_conf_returns_subset_with_same_counts(self):
         rng = random.Random(0xC0F)

@@ -264,6 +264,12 @@ class TestSeriesRegistry:
         loaded = registry.load("dirty", path, lenient=True)
         assert loaded.quarantined == 1
 
+    def test_directory_path_is_a_series_error(self, tmp_path):
+        from repro.core.errors import SeriesError
+
+        with pytest.raises(SeriesError, match="cannot read series file"):
+            SeriesRegistry().load("demo", tmp_path)
+
     def test_rejects_unsafe_names(self):
         registry = SeriesRegistry()
         for name in ("", "a/b", " padded "):
